@@ -11,7 +11,7 @@ baselines under ``benchmarks/results/``:
   costs — ROADMAP's memory-bandwidth trail) is recorded for both
   payloads and printed; it is informational, since the per-size gates
   already bound each end of the ratio.
-* ``BENCH_core.json`` — per-scenario ``fast_cps`` from the core engine
+* ``BENCH_core.json`` — per-scenario ``core_cps`` from the core
   benchmark, same rule; plus the surrogate-tier sweep entry, gated on an
   absolute floor (``min_warm_speedup``, committed inside the payload):
   the warm fit-cached evaluation must stay at least that many times
@@ -115,11 +115,11 @@ def check_core(baseline: dict, fresh: dict, max_regression: float,
     if not shared:
         failures.append("core: no scenarios shared with the baseline")
         return
-    print(f"core fast_cps ({len(shared)} shared scenarios):")
+    print(f"core core_cps ({len(shared)} shared scenarios):")
     for name in shared:
         check_ratio(f"core[{name}]",
-                    float(base_scenarios[name]["fast_cps"]),
-                    float(fresh_scenarios[name]["fast_cps"]),
+                    float(base_scenarios[name]["core_cps"]),
+                    float(fresh_scenarios[name]["core_cps"]),
                     max_regression, failures)
 
     # Surrogate-tier sweep: the warm (fit-cached) evaluation must keep its

@@ -1,16 +1,18 @@
-"""Core engine benchmark: legacy ``SMTCore`` vs ``FastCore`` cycles/sec.
+"""Core benchmark: event-skipping ``SMTCore`` vs ``ReferenceCore`` cycles/sec.
 
-Times both execution engines on the same traces across the four corners of
-the workload space — solo/pair × compute-bound/memory-bound — with GC
-disabled and interleaved repeats (median of ``REPEATS``), asserting
-bit-identical ``SimulationResult``s along the way, and persists the
-throughput numbers to ``benchmarks/results/BENCH_core.json``.
+Times the production core against the unoptimized per-cycle oracle on the
+same traces across the four corners of the workload space — solo/pair ×
+compute-bound/memory-bound — with GC disabled and interleaved repeats
+(median of ``REPEATS``), asserting bit-identical ``SimulationResult``s on
+every timed run, and persists the throughput numbers to
+``benchmarks/results/BENCH_core.json``.
 
 The JSON doubles as the CI perf baseline: before overwriting it, the test
-compares each scenario's measured speedup (fast/legacy — a machine-relative
-ratio, so it transfers across hosts where absolute cycles/sec do not)
-against the committed value and fails on a >25 % regression.  Refresh the
-baseline by committing the regenerated file after an intentional change.
+compares each scenario's measured speedup (core/reference — a
+machine-relative ratio, so it transfers across hosts where absolute
+cycles/sec do not) against the committed value and fails on a >25 %
+regression.  Refresh the baseline by committing the regenerated file after
+an intentional change.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import statistics
 import time
 from pathlib import Path
 
+from repro.check.reference import ReferenceCore
 from repro.cpu.config import CoreConfig
-from repro.cpu.fast_core import FastCore
 from repro.cpu.smt_core import SMTCore
 from repro.engine.store import reset_default_stores
 from repro.experiments.common import (
@@ -80,14 +82,14 @@ def _traces(names):
 
 
 def _bench_scenario(names):
-    """Interleaved legacy/fast timing; returns (legacy_cps, fast_cps)."""
+    """Interleaved reference/core timing; returns (reference_cps, core_cps)."""
     traces = _traces(names)
     config = CoreConfig() if len(names) > 1 else CoreConfig().single_thread(96)
     require_all = len(names) > 1
-    timings = {SMTCore: [], FastCore: []}
-    results = {}
+    timings = {ReferenceCore: [], SMTCore: []}
     for _ in range(REPEATS):
-        for cls in (SMTCore, FastCore):
+        results = {}
+        for cls in (ReferenceCore, SMTCore):
             core = cls(config, traces)
             gc.collect()
             start = time.perf_counter()
@@ -100,13 +102,13 @@ def _bench_scenario(names):
             elapsed = time.perf_counter() - start
             timings[cls].append(core.cycle / elapsed)
             results[cls] = (result, core.cycle)
-    assert results[SMTCore] == results[FastCore], (
-        f"{'+'.join(names)}: engines diverged — FastCore must be "
-        "bit-identical to SMTCore"
-    )
+        assert results[SMTCore] == results[ReferenceCore], (
+            f"{'+'.join(names)}: engines diverged — SMTCore must be "
+            "bit-identical to ReferenceCore"
+        )
     return (
+        statistics.median(timings[ReferenceCore]),
         statistics.median(timings[SMTCore]),
-        statistics.median(timings[FastCore]),
     )
 
 
@@ -170,12 +172,12 @@ def test_core_scaling(save_result, tmp_path, monkeypatch):
         scenarios = {}
         regressions = []
         for name, workloads in SCENARIOS:
-            legacy_cps, fast_cps = _bench_scenario(workloads)
-            speedup = fast_cps / legacy_cps
+            reference_cps, core_cps = _bench_scenario(workloads)
+            speedup = core_cps / reference_cps
             scenarios[name] = {
                 "workloads": list(workloads),
-                "legacy_cps": round(legacy_cps),
-                "fast_cps": round(fast_cps),
+                "reference_cps": round(reference_cps),
+                "core_cps": round(core_cps),
                 "speedup": round(speedup, 2),
             }
             prior = baseline.get(name, {}).get("speedup")
@@ -200,7 +202,7 @@ def test_core_scaling(save_result, tmp_path, monkeypatch):
     save_result(
         "core_scaling",
         "\n".join(
-            f"{name}: legacy {s['legacy_cps']}/s fast {s['fast_cps']}/s "
+            f"{name}: reference {s['reference_cps']}/s core {s['core_cps']}/s "
             f"= {s['speedup']}x"
             for name, s in scenarios.items()
         )
@@ -212,11 +214,11 @@ def test_core_scaling(save_result, tmp_path, monkeypatch):
     )
 
     assert not regressions, "; ".join(regressions)
-    # Absolute floor: the fast engine must never lose to the legacy one by
-    # more than timing noise, on any scenario shape.
+    # Absolute floor: the core must never lose to the unoptimized
+    # reference loop, on any scenario shape.
     for name, s in scenarios.items():
         assert s["speedup"] > 1.0, (
-            f"{name}: FastCore slower than legacy ({s['speedup']}x)"
+            f"{name}: SMTCore slower than ReferenceCore ({s['speedup']}x)"
         )
     assert surrogate["warm_speedup"] >= MIN_SURROGATE_WARM_SPEEDUP, (
         f"warm surrogate sweep only {surrogate['warm_speedup']}x faster "

@@ -1,7 +1,7 @@
 """Correctness harness for the timing model (``repro.check``).
 
 The optimized :class:`~repro.cpu.smt_core.SMTCore` hot loop (ring-buffer
-dataflow, idle fast-forward, slot interleaving) is what every figure in the
+dataflow, event-horizon jumps, slot interleaving) is what every figure in the
 reproduction stands on, so this package gives it three independent oracles:
 
 * :mod:`repro.check.invariants` — an :class:`InvariantChecker` attachable to
@@ -12,9 +12,8 @@ reproduction stands on, so this package gives it three independent oracles:
   simple cycle-by-cycle re-implementation of the dual-thread timing model
   (no ring masks, no idle fast-forward) that must produce **bit-identical**
   :class:`~repro.cpu.metrics.SimulationResult`\\ s.
-* :mod:`repro.check.differential` — seeded random sweeps through all three
-  engines (:class:`~repro.cpu.fast_core.FastCore`, the legacy ``SMTCore``
-  and the ``ReferenceCore`` oracle — ``stretch-repro check``), plus
+* :mod:`repro.check.differential` — seeded random sweeps through the
+  ``SMTCore`` and its ``ReferenceCore`` oracle (``stretch-repro check``), plus
   targeted stress cases (:func:`build_stress_cases`): the regression gate
   for every future hot-path optimization.
 * :mod:`repro.check.metamorphic` — paper-derived relations between runs

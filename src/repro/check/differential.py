@@ -1,17 +1,16 @@
-"""Differential oracle: seeded config sweeps through all core implementations.
+"""Differential oracle: seeded config sweeps, core vs reference.
 
 Runs the same (workloads, core configuration, instruction budget) through
-the three-way engine matrix — :class:`~repro.cpu.fast_core.FastCore` (the
-event-skipping default), :class:`~repro.cpu.smt_core.SMTCore` (the
-instrumented per-cycle legacy loop) and
+the two-way engine matrix — :class:`~repro.cpu.smt_core.SMTCore` (the
+event-skipping production core) and
 :class:`~repro.check.reference.ReferenceCore` (the deliberately naive
-oracle) — and demands **bit-identical**
+per-cycle oracle) — and demands **bit-identical**
 :class:`~repro.cpu.metrics.SimulationResult`\\ s — every counter, cycle count
 and histogram bucket.  Because the cores share the microarchitectural
 components and differ only in the scheduling loop, any mismatch localizes a
-bug to one of the optimized paths (ring-buffer dataflow, idle fast-forward
-and event-horizon jumps, slot interleaving, batched gap accounting) or to
-the reference itself.
+bug to one of the optimized paths (ring-buffer dataflow, event-horizon
+jumps, slot interleaving, batched gap accounting) or to the reference
+itself.
 
 The sweep dimensions cover what the paper's experiments exercise: solo and
 colocated runs, partitioned/shared ROB-LSQ with skewed splits, all three
@@ -34,7 +33,6 @@ from dataclasses import dataclass, field, replace
 from repro.check.invariants import InvariantChecker
 from repro.check.reference import ReferenceCore
 from repro.cpu.config import CacheConfig, CoreConfig, PartitionPolicy
-from repro.cpu.fast_core import FastCore
 from repro.cpu.metrics import SimulationResult
 from repro.cpu.smt_core import SMTCore
 from repro.obs.metrics import get_registry
@@ -60,7 +58,7 @@ _MAX_CYCLES = 2_000_000
 
 @dataclass(frozen=True)
 class DifferentialCase:
-    """One seeded configuration to push through all three engines."""
+    """One seeded configuration to push through both engines."""
 
     case_id: int
     workloads: tuple[str, ...]
@@ -179,7 +177,7 @@ def build_cases(
 def build_stress_cases(seed: int = 0) -> list[DifferentialCase]:
     """Handcrafted configurations that stress the event-skipping machinery.
 
-    Four families, each the worst case for one FastCore mechanism:
+    Four families, each the worst case for one event-skipping mechanism:
 
     * ``switch-storm`` — back-to-back ``set_partitions`` mode switches with
       short measured windows between them, so drains and jumps interleave.
@@ -276,18 +274,16 @@ def _make_core(cls, case: DifferentialCase, check_invariants: bool):
     return core
 
 
-#: Engine matrix the sweep proves bit-identical, fastest first.
-_ENGINES = (("fast", FastCore), ("smt", SMTCore), ("ref", ReferenceCore))
+#: Engine matrix the sweep proves bit-identical: the core, then its oracle.
+_ENGINES = (("core", SMTCore), ("ref", ReferenceCore))
 
 
 def run_case(
     case: DifferentialCase, check_invariants: bool = False
 ) -> list[str]:
-    """Run one case through all three cores; return the list of differences.
+    """Run one case through the core and the reference; return differences.
 
-    Comparisons are chained (``fast`` vs ``smt``, ``smt`` vs ``ref``) so a
-    report names the engine pair that disagrees and therefore which loop to
-    suspect.
+    Each difference is prefixed with the engine pair (``core/ref``).
     """
     diffs = []
     results = {}

@@ -15,10 +15,10 @@ after every simulated cycle and asserts they agree:
 * **Capacity conservation** — ``total_usage == sum(usage)`` and
   ``usage(t) <= limit(t)`` for both structures.
 * **Monotonic clock** — the cycle counter only moves forward.
-* **Event-respecting jumps** — a multi-cycle clock advance (legacy idle
-  fast-forward or a FastCore event-horizon jump) never passes an enabling
-  event: no ROB-head completion, front-end refill or squash resolution
-  may lie strictly inside the skipped span.
+* **Event-respecting jumps** — a multi-cycle clock advance (an
+  event-horizon jump) never passes an enabling event: no ROB-head
+  completion, front-end refill or squash resolution may lie strictly
+  inside the skipped span.
 * **Cursor progress** — committed + in-flight (non-ghost) µops account for
   every µop consumed from the trace; nothing is lost or double-counted
   across fast-forwards and squashes.
@@ -106,15 +106,15 @@ class InvariantChecker:
         threads = core._threads
         n = core.n_threads
 
-        # Multi-cycle jumps (idle fast-forward, event-horizon skips) may
-        # only land *on* the next enabling event, never beyond it: after a
-        # jump from ``prev_cycle`` to ``cycle`` no ROB-head completion
+        # Multi-cycle jumps (event-horizon skips) may only land *on* the
+        # next enabling event, never beyond it: after a jump from
+        # ``prev_cycle`` to ``cycle`` no ROB-head completion
         # (commit is in-order, so only the head enables progress),
         # front-end refill or squash resolution may lie strictly inside the
         # skipped span — each would have changed the machine state
         # mid-jump.  Sampler window edges are deliberately not a law here:
-        # the legacy loop takes the sample after landing, which is
-        # timing-neutral, while FastCore clamps the jump at the edge.
+        # the core clamps its jumps at the edge, but a sample taken after
+        # landing would be just as timing-neutral.
         if prev_cycle is not None and cycle > prev_cycle + 1:
             for t in range(n):
                 ts = threads[t]

@@ -16,11 +16,10 @@ model of :class:`repro.cpu.smt_core.SMTCore` as a plain cycle-by-cycle loop:
 It reuses the same microarchitectural components (partitioned ROB/LSQ,
 memory hierarchy, branch predictor, fetch policies, trace cursors), so the
 engines differ only in the scheduling loop — exactly the code the ring
-masks, fast-forward, and :class:`~repro.cpu.fast_core.FastCore`'s
-event-horizon jumps optimize.  The contract, enforced by
-:mod:`repro.check.differential` and ``tests/test_check_reference.py``, is
-**bit-identical** :class:`~repro.cpu.metrics.SimulationResult`\\ s across
-all three engines: every counter, every cycle count, every histogram
+masks and the core's event-horizon jumps optimize.  The contract, enforced
+by :mod:`repro.check.differential` and ``tests/test_check_reference.py``, is
+**bit-identical** :class:`~repro.cpu.metrics.SimulationResult`\\ s between
+the two engines: every counter, every cycle count, every histogram
 bucket.  Any future hot-path optimization must preserve that equivalence.
 
 An :class:`~repro.check.invariants.InvariantChecker` can be attached to a

@@ -13,11 +13,13 @@ a dual-thread, 6-wide out-of-order SPARC-like core at 2.5 GHz with
 * an 8 MB NUCA LLC (partitioned per thread, as in the paper) over a mesh,
   backed by 75 ns memory.
 
-Timing is cycle-approximate: a global per-cycle loop arbitrates fetch/dispatch
-slots and commit bandwidth, while instruction completion is computed from the
-dependency dataflow plus structural constraints (ROB/LSQ occupancy, MSHRs,
-functional-unit throughput).  See DESIGN.md §4 for the model and its known
-deviations from the paper's Flexus setup.
+Timing is cycle-approximate: one event-skipping scheduling loop
+(:class:`SMTCore`) arbitrates fetch/dispatch slots and commit bandwidth per
+cycle and jumps the clock over provably idle spans, while instruction
+completion is computed from the dependency dataflow plus structural
+constraints (ROB/LSQ occupancy, MSHRs, functional-unit throughput).  See
+DESIGN.md §4 for the model and its known deviations from the paper's Flexus
+setup.
 """
 
 from repro.cpu.config import (
@@ -27,7 +29,6 @@ from repro.cpu.config import (
     PartitionPolicy,
     UncoreConfig,
 )
-from repro.cpu.fast_core import CORE_ENV, ENGINES, FastCore, make_core, resolve_engine
 from repro.cpu.isa import OpClass
 from repro.cpu.smt_core import SMTCore, SimulationResult, ThreadResult
 
@@ -42,11 +43,6 @@ __all__ = [
     "PartitionPolicy",
     "UncoreConfig",
     "OpClass",
-    "CORE_ENV",
-    "ENGINES",
-    "FastCore",
-    "make_core",
-    "resolve_engine",
     "SMTCore",
     "SimulationResult",
     "ThreadResult",

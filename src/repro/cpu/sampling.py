@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cpu.config import CoreConfig
-from repro.cpu.fast_core import make_core
 from repro.cpu.isa import OpClass
 from repro.cpu.metrics import SimulationResult
 from repro.cpu.smt_core import SMTCore
@@ -39,6 +38,15 @@ __all__ = [
     "sample_uniforms",
     "evaluate_sample_windows",
 ]
+
+
+def make_core(config: CoreConfig, traces: tuple[Trace, ...]) -> SMTCore:
+    """Build the core for one sample.
+
+    The one place sampling constructs a core, so tools can time core
+    construction by wrapping this name (``perfbench/trace.py`` does).
+    """
+    return SMTCore(config, traces)
 
 
 @dataclass(frozen=True)

@@ -295,10 +295,10 @@ def _check_main(argv: list[str]) -> int:
     """``stretch-repro check``: differential oracle + metamorphic relations."""
     parser = argparse.ArgumentParser(
         prog="stretch-repro check",
-        description="Validate FastCore and the legacy SMTCore against the "
+        description="Validate the event-skipping SMTCore against the "
                     "unoptimized ReferenceCore on seeded random "
                     "configurations plus targeted stress cases "
-                    "(bit-identical results required across all three "
+                    "(bit-identical results required between the two "
                     "engines), with per-cycle invariant checking attached "
                     "to every run.",
     )

@@ -1,8 +1,8 @@
 """Lightweight section profiler: scoped timers and a self-time table.
 
 The profiler answers "where does the wall time go" for the simulator hot
-loops (fetch arbitration, dispatch, completion wakeup, commit) and the
-engine phases (dedupe, cache lookup, execute, store write).  Sections are
+loop (``sim.loop``) and the engine phases (dedupe, cache lookup, execute,
+store write).  Sections are
 flat named accumulators — no call-stack reconstruction — because the code
 under measurement is a small set of known hot regions, not arbitrary user
 code.
@@ -11,10 +11,11 @@ Two usage styles:
 
 * :meth:`Profiler.section` — a context manager for coarse regions
   (one engine phase, one experiment);
-* :meth:`Profiler.add` — direct accumulation for hot loops that batch
-  ``perf_counter`` deltas in local floats and flush once at the end
-  (what :class:`~repro.cpu.smt_core.SMTCore` does, so the per-cycle cost
-  with profiling *disabled* is a single false branch).
+* :meth:`Profiler.add` — direct accumulation for hot loops that time
+  themselves and flush once at the end: :class:`~repro.cpu.smt_core.SMTCore`
+  adds one ``sim.loop`` entry per simulate call (its seconds, with the
+  cycles advanced as calls), so profiling costs the loop nothing per
+  cycle and times the same event-skipping path as an unprofiled run.
 
 Profiling is opt-in per process: ``stretch-repro run --profile`` enables
 the process-wide profiler (exported to engine workers via the

@@ -1,8 +1,8 @@
-"""Differential oracle: FastCore, SMTCore and ReferenceCore bit-identical.
+"""Differential oracle: SMTCore and ReferenceCore bit-identical.
 
-The 200-configuration sweep — every case run through all three engines —
-is the acceptance gate for the optimized hot loops (ring-buffer dataflow,
-idle fast-forward, slot interleaving, FastCore's event-horizon jumps): any
+The 200-configuration sweep — every case run through both engines — is the
+acceptance gate for the optimized hot loop (ring-buffer dataflow, slot
+interleaving, event-horizon jumps, batched gap accounting): any
 future optimization that changes a single committed instruction, stall
 count, cycle total or MLP bucket on any configuration fails here.  The
 stress cases (``build_stress_cases``) add targeted adversarial shapes for
@@ -94,7 +94,7 @@ class TestDifferentialSweep:
         assert build_cases(10, seed=3) != build_cases(10, seed=4)
 
     def test_stress_cases_bit_identical(self):
-        """The adversarial event-skipping shapes survive all three engines."""
+        """The adversarial event-skipping shapes survive both engines."""
         cases = build_stress_cases(seed=0)
         tags = {case.tag for case in cases}
         assert {"switch-storm", "no-idle", "cycle0", "mshr-sat"} <= tags

@@ -1,11 +1,11 @@
-"""FastCore: engine selection, bit-identity smoke, event-horizon properties.
+"""SMTCore event horizon: observer wiring and seeded property loops.
 
-The exhaustive equivalence proof lives in the three-way differential sweep
-(``tests/test_check_reference.py``); this file covers the FastCore-specific
-surface: ``CoreConfig.engine`` / ``REPRO_CORE`` resolution, the observer
-wiring (event log, invariant checker, sampler entry points), and the
-event-horizon structure itself via seeded property loops (plain
-``repro.util.rng`` seeding — no hypothesis, so failures replay exactly).
+The exhaustive equivalence proof lives in the core-vs-reference
+differential sweep (``tests/test_check_reference.py``) and the event log is
+pinned byte-for-byte by ``tests/test_golden_digests.py``; this file covers
+the sampling-path observer wiring and the event-horizon structure itself
+via seeded property loops (plain ``repro.util.rng`` seeding — no
+hypothesis, so failures replay exactly).
 """
 
 import random
@@ -14,7 +14,7 @@ import pytest
 
 from repro.check.invariants import InvariantChecker, InvariantViolation
 from repro.cpu.config import CoreConfig
-from repro.cpu.fast_core import CORE_ENV, FastCore, make_core, resolve_engine
+from repro.cpu.sampling import make_core
 from repro.cpu.smt_core import SMTCore
 from repro.util.rng import derive_seed
 from repro.workloads.generator import generate_trace
@@ -42,71 +42,15 @@ def _random_config(rng):
     return config.with_rob_partition(*rng.choice(SPLITS))
 
 
-class TestEngineSelection:
-    def test_default_engine_is_fast(self):
-        assert resolve_engine() == "fast"
-        assert resolve_engine(CoreConfig()) == "fast"
-        assert isinstance(make_core(CoreConfig(), _traces(random.Random(0), 1)),
-                          FastCore)
-
-    def test_config_engine_legacy(self):
-        config = CoreConfig(engine="legacy")
-        assert resolve_engine(config) == "legacy"
-        core = make_core(config, _traces(random.Random(1), 1))
-        assert type(core) is SMTCore
-
-    def test_env_overrides_config(self, monkeypatch):
-        monkeypatch.setenv(CORE_ENV, "legacy")
-        assert resolve_engine(CoreConfig(engine="fast")) == "legacy"
-        monkeypatch.setenv(CORE_ENV, "fast")
-        assert resolve_engine(CoreConfig(engine="legacy")) == "fast"
-
-    def test_invalid_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(CORE_ENV, "turbo")
-        with pytest.raises(ValueError, match="REPRO_CORE"):
-            resolve_engine(CoreConfig())
-
-    def test_invalid_config_engine_rejected(self):
-        with pytest.raises(ValueError):
-            CoreConfig(engine="turbo")
-
-    def test_engine_excluded_from_config_identity(self):
-        """Engine choice must not split the content-addressed result cache."""
-        assert CoreConfig(engine="fast") == CoreConfig(engine="legacy")
-        assert hash(CoreConfig(engine="fast")) == hash(CoreConfig(engine="legacy"))
-
-
-class TestBitIdentitySmoke:
-    def test_pair_run_identical_with_event_log(self):
-        rng = random.Random(7)
-        traces = _traces(rng, 2)
-        config = CoreConfig().with_rob_partition(56, 136)
-        fast = FastCore(config, traces)
-        legacy = SMTCore(config, traces)
-        fast.event_log = []
-        legacy.event_log = []
-        rf = fast.run(400, warmup_instructions=200, require_all_threads=True)
-        rl = legacy.run(400, warmup_instructions=200, require_all_threads=True)
-        assert rf == rl
-        assert fast.cycle == legacy.cycle
-        assert fast.event_log == legacy.event_log
-
-    def test_solo_run_identical(self):
-        rng = random.Random(8)
-        traces = _traces(rng, 1)
-        fast = FastCore(CoreConfig().single_thread(48), traces)
-        legacy = SMTCore(CoreConfig().single_thread(48), traces)
-        assert fast.run(500, warmup_instructions=100) == \
-            legacy.run(500, warmup_instructions=100)
-
-    def test_repro_check_attaches_checker_to_fast_core(self, monkeypatch):
-        """REPRO_CHECK=1 must reach FastCore through the sampling path."""
+class TestObserverWiring:
+    def test_repro_check_attaches_checker_via_make_core(self, monkeypatch):
+        """REPRO_CHECK=1 must reach the core built by the sampling path."""
         monkeypatch.setenv("REPRO_CHECK", "1")
         from repro.obs.sampler import attach_core_observers
 
         core = make_core(CoreConfig(), _traces(random.Random(9), 2))
         attach_core_observers(core, {})
-        assert isinstance(core, FastCore)
+        assert isinstance(core, SMTCore)
         assert isinstance(core.checker, InvariantChecker)
         result = core.run(300, warmup_instructions=100,
                           require_all_threads=True)
@@ -123,7 +67,7 @@ class TestEventHorizonProperties:
         jumps_seen = 0
         for trial in range(8):
             n = 2 if rng.random() < 0.7 else 1
-            core = FastCore(_random_config(rng), _traces(rng, n))
+            core = SMTCore(_random_config(rng), _traces(rng, n))
             core.jump_log = []
             core.run(300, warmup_instructions=100,
                      require_all_threads=(n == 2))
@@ -147,34 +91,36 @@ class TestEventHorizonProperties:
             n = 2 if rng.random() < 0.7 else 1
             config = _random_config(rng)
             traces = _traces(rng, n)
-            for cls in (FastCore, SMTCore):
-                core = cls(config, traces)
-                result = core.run(300, warmup_instructions=100,
-                                  require_all_threads=(n == 2))
-                for thread in result.threads:
-                    assert sum(thread.mlp_cycles) == result.cycles, (
-                        f"{cls.__name__} thread {thread.thread}: MLP "
-                        f"histogram covers {sum(thread.mlp_cycles)} cycles, "
-                        f"measured {result.cycles}"
-                    )
+            core = SMTCore(config, traces)
+            result = core.run(300, warmup_instructions=100,
+                              require_all_threads=(n == 2))
+            for thread in result.threads:
+                assert sum(thread.mlp_cycles) == result.cycles, (
+                    f"thread {thread.thread}: MLP histogram covers "
+                    f"{sum(thread.mlp_cycles)} cycles, measured {result.cycles}"
+                )
 
-    def test_earliest_event_matches_brute_force(self):
-        """`_earliest_event` equals the min of the sorted event horizon."""
+    def test_pending_events_match_brute_force(self):
+        """`pending_events` is the sorted horizon recomputed from raw state."""
         rng = random.Random(derive_seed(42, "fast-core", "horizon"))
         checked = 0
         for trial in range(6):
             n = 2 if rng.random() < 0.5 else 1
-            core = FastCore(_random_config(rng), _traces(rng, n))
+            core = SMTCore(_random_config(rng), _traces(rng, n))
             # Fresh core: no in-flight work, no events.
             assert core.pending_events(core.cycle) == []
-            assert core._earliest_event(core.cycle) is None
             # Sample mid-run states at several window boundaries.
             for window in range(4):
                 core.run(60, max_cycles=200_000,
                          require_all_threads=(n == 2))
-                events = core.pending_events(core.cycle)
-                brute = min(events) if events else None
-                assert core._earliest_event(core.cycle) == brute
+                cycle = core.cycle
+                brute = []
+                for ts in core._threads:
+                    brute += [ts.rob_q[0][0]] if ts.rob_q else []
+                    brute += [e for e in (ts.fe_stall_until, ts.squash_at)
+                              if e > cycle]
+                events = core.pending_events(cycle)
+                assert events == sorted(brute)
                 if events:
                     checked += 1
         assert checked > 0, "property never saw a non-empty event horizon"
@@ -182,7 +128,7 @@ class TestEventHorizonProperties:
     def test_checker_rejects_event_passing_jump(self):
         """The generalized multi-cycle jump law actually fires."""
         rng = random.Random(derive_seed(42, "fast-core", "law"))
-        core = FastCore(CoreConfig(), _traces(rng, 2))
+        core = SMTCore(CoreConfig(), _traces(rng, 2))
         core.run(200, warmup_instructions=50, require_all_threads=True)
         checker = InvariantChecker()
         checker.on_cycle(core, core.cycle)

@@ -220,3 +220,32 @@ class TestGoldenDigests:
             "dominating_scenarios": list(result.dominating_scenarios),
         }
         _check_golden("ext_autotune_quick", payload)
+
+    def test_core_pair_event_log_digest(self):
+        """Per-µop dispatch log of one seeded pair run, frozen byte-for-byte.
+
+        ``ReferenceCore`` records no event log, so this digest is the
+        byte-level pin on ``SMTCore.event_log``: it was recorded while
+        the event-skipping loop and the per-cycle loop it replaced were
+        still proven identical on this exact run.
+        """
+        import dataclasses
+        import random
+
+        from repro.cpu.config import CoreConfig
+        from repro.cpu.smt_core import SMTCore
+        from tests.test_core_event_horizon import _traces
+
+        traces = _traces(random.Random(7), 2)
+        core = SMTCore(CoreConfig().with_rob_partition(56, 136), traces)
+        core.event_log = []
+        result = core.run(400, warmup_instructions=200,
+                          require_all_threads=True)
+        payload = {
+            "workloads": [t.name for t in traces],
+            "rob_partition": [56, 136],
+            "final_cycle": core.cycle,
+            "result": dataclasses.asdict(result),
+            "event_log": [list(entry) for entry in core.event_log],
+        }
+        _check_golden("core_pair_event_log", payload)

@@ -54,19 +54,18 @@ def _inject_inflight(core, thread, completion, is_mem=False):
 class TestFalsyZeroEventGuard:
     """Bug 1: ``if next_event`` treated a cycle-0 event as "no event"."""
 
-    def test_earliest_event_at_cycle_zero_is_not_none(self):
+    def test_event_at_cycle_zero_is_pending(self):
         core = SMTCore(CoreConfig(), (alu_trace(), alu_trace(name="b")))
         _stall_frontends(core, until=0)
         _inject_inflight(core, 0, completion=0)
         # The contract the truthiness guard broke: a completion at cycle 0
-        # must be reported as event 0, never conflated with None.
-        assert core._earliest_event(0) == 0
-        assert core._earliest_event(0) is not None
+        # must be reported as event 0, never conflated with "no event".
+        assert core.pending_events(0) == [0]
 
-    def test_earliest_event_none_when_idle(self):
+    def test_no_pending_events_when_idle(self):
         core = SMTCore(CoreConfig(), (alu_trace(), alu_trace(name="b")))
         _stall_frontends(core, until=0)
-        assert core._earliest_event(0) is None
+        assert core.pending_events(0) == []
 
     def test_drain_commits_event_at_cycle_zero(self):
         core = SMTCore(CoreConfig(), (alu_trace(), alu_trace(name="b")))
