@@ -11,7 +11,11 @@ reproduction stands on, so this package gives it three independent oracles:
 * :mod:`repro.check.reference` — :class:`ReferenceCore`, a deliberately
   simple cycle-by-cycle re-implementation of the dual-thread timing model
   (no ring masks, no idle fast-forward) that must produce **bit-identical**
-  :class:`~repro.cpu.metrics.SimulationResult`\\ s.
+  :class:`~repro.cpu.metrics.SimulationResult`\\ s.  Its
+  :func:`~repro.check.reference.reference_service_run` is the same kind of
+  oracle for the queueing DES: the plain two-heap loop that
+  :meth:`~repro.qos.queueing.ServiceSimulator.run` must match field for
+  field.
 * :mod:`repro.check.differential` — seeded random sweeps through the
   ``SMTCore`` and its ``ReferenceCore`` oracle (``stretch-repro check``), plus
   targeted stress cases (:func:`build_stress_cases`): the regression gate
@@ -46,7 +50,7 @@ from repro.check.metamorphic import (
     check_rob_monotonicity,
     run_metamorphic_suite,
 )
-from repro.check.reference import ReferenceCore
+from repro.check.reference import ReferenceCore, reference_service_run
 from repro.check.surrogate import (
     GateResult,
     SurrogateGateCase,
@@ -74,6 +78,7 @@ __all__ = [
     "check_rob_monotonicity",
     "compare_results",
     "differential_sweep",
+    "reference_service_run",
     "run_case",
     "run_metamorphic_suite",
     "surrogate_accuracy_sweep",

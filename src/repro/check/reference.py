@@ -25,9 +25,24 @@ bucket.  Any future hot-path optimization must preserve that equivalence.
 An :class:`~repro.check.invariants.InvariantChecker` can be attached to a
 ``ReferenceCore`` too (``core.checker = ...``), which cross-validates the
 checker itself against an independent implementation.
+
+:func:`reference_service_run` is the same kind of oracle for the queueing
+DES, :meth:`repro.qos.queueing.ServiceSimulator.run`.  It is a plain
+two-heap loop: one heap of worker free times (pop, then push), a second
+heap of the completion times of every admitted request, popped down to
+the arrival to read the queue depth, and per-element NumPy stores, with
+each latency percentile taken by its own ``np.percentile`` call.  It draws from the simulator's own arrival and
+service samplers, so both see the same random stream, and the contract,
+enforced by ``tests/test_check_reference.py`` and
+``benchmarks/test_qos_scaling.py``, is a field-for-field equal
+:class:`~repro.qos.queueing.LatencyStats`.
 """
 
 from __future__ import annotations
+
+import heapq
+
+import numpy as np
 
 from repro.cpu.branch import HybridBranchPredictor
 from repro.cpu.config import CoreConfig, PartitionPolicy
@@ -37,8 +52,9 @@ from repro.cpu.metrics import MLP_BUCKETS, SimulationResult, ThreadResult
 from repro.cpu.rob import PartitionedResource
 from repro.cpu.trace import Trace, TraceCursor
 from repro.cpu.uncore import MemoryHierarchy
+from repro.qos.queueing import LatencyStats, ServiceSimulator
 
-__all__ = ["ReferenceCore"]
+__all__ = ["ReferenceCore", "reference_service_run"]
 
 #: Dependency distances are clamped to this by the trace generator; the
 #: completion window must retain at least this many past µops.
@@ -425,3 +441,43 @@ class ReferenceCore:
                 self.checker.on_cycle(self, cycle)
 
         self.cycle = cycle
+
+
+def reference_service_run(
+    sim: ServiceSimulator,
+    arrival_rate_per_ms: float,
+    perf_factor: float = 1.0,
+    n_requests: int = 20000,
+    seed_offset: int = 0,
+) -> LatencyStats:
+    """Unoptimized twin of :meth:`ServiceSimulator.run` (two heaps per request)."""
+    rng = np.random.default_rng((sim.seed * 1_000_003 + seed_offset) & 0x7FFFFFFF)
+    arrivals = sim._sample_arrivals(arrival_rate_per_ms, n_requests, rng)
+    services = sim._sample_services(perf_factor, n_requests, rng)
+
+    workers = [0.0] * sim.n_workers
+    heapq.heapify(workers)
+    in_system: list[float] = []  # completion times of admitted requests
+    latencies = np.empty(n_requests)
+    depths = np.empty(n_requests)
+    for i in range(n_requests):
+        arrival = arrivals[i]
+        while in_system and in_system[0] <= arrival:
+            heapq.heappop(in_system)
+        depths[i] = len(in_system)
+        free_at = heapq.heappop(workers)
+        start = free_at if free_at > arrival else arrival
+        done = start + services[i]
+        heapq.heappush(workers, done)
+        heapq.heappush(in_system, done)
+        latencies[i] = done - arrival
+    return LatencyStats(
+        n_requests=int(latencies.size),
+        mean=float(latencies.mean()),
+        p50=float(np.percentile(latencies, 50)),
+        p95=float(np.percentile(latencies, 95)),
+        p99=float(np.percentile(latencies, 99)),
+        max=float(latencies.max()),
+        mean_queue_depth=float(depths.mean()),
+        p95_queue_depth=float(np.percentile(depths, 95)),
+    )

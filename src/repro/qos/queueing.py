@@ -12,19 +12,42 @@ single-thread performance the latency-sensitive thread currently receives
 (from SMT colocation, a Stretch mode, or Elfen-style duty-cycling).
 
 Latency is reported at the percentiles of the service's QoS contract
-(Table I), reproducing the Figure 1 latency-versus-load curves.
+(Table I), reproducing the Figure 1 latency-versus-load curves.  Only the
+percentiles in :data:`TRACKED_PERCENTILES` are reported, so a simulator
+refuses a contract at any other percentile when it is built.
+
+The kernel of :meth:`ServiceSimulator.run` does one heap operation per
+request.  Under FIFO dispatch to ``k`` identical workers, the workers'
+free times are always the ``k`` largest completions so far, so a
+``k``-entry min-heap of completions is the whole server state: request
+*i* starts at ``max(arrival, heap[0])`` and its completion replaces the
+heap's minimum.  The loop iterates Python floats from compact
+``array('d')`` copies of the sampled arrays.  Queue depths are computed
+after the loop, without a second heap: the number of requests in the
+system when request *i* arrives is ``i`` minus the completions at or
+before its arrival, ``i - searchsorted(sort(completions), arrival,
+side="right")``.  No completion at or before arrival *i* can belong to
+request *i* or a later one, because service times are positive.
+:func:`repro.check.reference.reference_service_run` is a plain two-heap
+loop kept as an independent oracle, and the differential test asserts
+bit-identical :class:`LatencyStats` between the two.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.workloads.profiles import QoSSpec
 
-__all__ = ["MMPPConfig", "LatencyStats", "ServiceSimulator"]
+__all__ = ["TRACKED_PERCENTILES", "MMPPConfig", "LatencyStats", "ServiceSimulator"]
+
+#: Latency percentiles every :class:`LatencyStats` reports (its ``p50``,
+#: ``p95`` and ``p99`` fields); a QoS contract must use one of them.
+TRACKED_PERCENTILES = (50.0, 95.0, 99.0)
 
 
 @dataclass(frozen=True)
@@ -87,12 +110,13 @@ class LatencyStats:
         if queue_depths is not None and queue_depths.size:
             mean_depth = float(queue_depths.mean())
             p95_depth = float(np.percentile(queue_depths, 95))
+        p50, p95, p99 = np.percentile(latencies, TRACKED_PERCENTILES)
         return cls(
             n_requests=int(latencies.size),
             mean=float(latencies.mean()),
-            p50=float(np.percentile(latencies, 50)),
-            p95=float(np.percentile(latencies, 95)),
-            p99=float(np.percentile(latencies, 99)),
+            p50=float(p50),
+            p95=float(p95),
+            p99=float(p99),
             max=float(latencies.max()),
             mean_queue_depth=mean_depth,
             p95_queue_depth=p95_depth,
@@ -121,6 +145,11 @@ class ServiceSimulator:
     ):
         if n_workers <= 0:
             raise ValueError("n_workers must be positive")
+        if qos.percentile not in TRACKED_PERCENTILES:
+            raise ValueError(
+                f"QoS percentile {qos.percentile} is not reported by the "
+                f"simulator; use one of {TRACKED_PERCENTILES}"
+            )
         self.qos = qos
         self.n_workers = n_workers
         self.mmpp = mmpp
@@ -169,6 +198,8 @@ class ServiceSimulator:
         common random numbers across configurations, making comparisons
         paired (the binary searches in the slack analysis rely on this).
         """
+        if n_requests <= 0:
+            raise ValueError(f"n_requests must be positive, got {n_requests}")
         if arrival_rate_per_ms <= 0:
             raise ValueError("arrival rate must be positive")
         if not 0.0 < perf_factor <= 1.0 + 1e-9:
@@ -177,22 +208,22 @@ class ServiceSimulator:
         arrivals = self._sample_arrivals(arrival_rate_per_ms, n_requests, rng)
         services = self._sample_services(perf_factor, n_requests, rng)
 
+        # Worker free times: the n_workers largest completions so far.
         workers = [0.0] * self.n_workers
-        heapq.heapify(workers)
-        in_system: list[float] = []  # completion times of admitted requests
-        latencies = np.empty(n_requests)
-        depths = np.empty(n_requests)
-        for i in range(n_requests):
-            arrival = arrivals[i]
-            while in_system and in_system[0] <= arrival:
-                heapq.heappop(in_system)
-            depths[i] = len(in_system)
-            free_at = heapq.heappop(workers)
-            start = free_at if free_at > arrival else arrival
-            done = start + services[i]
-            heapq.heappush(workers, done)
-            heapq.heappush(in_system, done)
-            latencies[i] = done - arrival
+        replace = heapq.heapreplace
+        done = array("d")
+        append = done.append
+        for arrival, service in zip(
+            array("d", arrivals.tobytes()), array("d", services.tobytes())
+        ):
+            free_at = workers[0]
+            finish = (free_at if free_at > arrival else arrival) + service
+            replace(workers, finish)
+            append(finish)
+        completions = np.frombuffer(done)
+        latencies = completions - arrivals
+        depths = np.arange(n_requests, dtype=np.float64)
+        depths -= np.searchsorted(np.sort(completions), arrivals, side="right")
         return LatencyStats.from_latencies(latencies, depths)
 
     # ------------------------------------------------------------------
@@ -233,12 +264,11 @@ class ServiceSimulator:
         n_requests: int = 20000,
     ) -> list[tuple[float, LatencyStats]]:
         """Figure 1: latency statistics across load points (fractions of peak)."""
-        peak = self.peak_load(n_requests=n_requests)
-        out = []
         for fraction in load_fractions:
             if not 0.0 < fraction <= 1.2:
                 raise ValueError(f"load fraction {fraction} out of range")
-            out.append(
-                (fraction, self.run(peak * fraction, perf_factor, n_requests))
-            )
-        return out
+        peak = self.peak_load(n_requests=n_requests)
+        return [
+            (fraction, self.run(peak * fraction, perf_factor, n_requests))
+            for fraction in load_fractions
+        ]

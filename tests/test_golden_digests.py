@@ -249,3 +249,68 @@ class TestGoldenDigests:
             "event_log": [list(entry) for entry in core.event_log],
         }
         _check_golden("core_pair_event_log", payload)
+
+
+def _latency_fields(stats) -> dict:
+    import dataclasses
+
+    return {k: _round(float(v)) for k, v in dataclasses.asdict(stats).items()}
+
+
+class TestQueueingGoldenDigests:
+    """Pins on the queueing DES (Figs. 1-2, tail surrogate).
+
+    Any change to ``ServiceSimulator.run`` that moves one ``LatencyStats``
+    field of these seeded runs fails here.
+    """
+
+    def test_fig01_quick_digest(self):
+        from repro.experiments import fig01_latency_vs_load as fig01
+
+        result = fig01.run(Fidelity.quick(seed=42))
+        payload = {
+            "figure": "fig01",
+            "fidelity": "quick",
+            "qos_target_ms": _round(result.qos_target_ms),
+            "points": [
+                [_round(load), _latency_fields(stats)]
+                for load, stats in result.points
+            ],
+        }
+        _check_golden("fig01_quick", payload)
+
+    def test_fig02_slack_slice_digest(self):
+        from repro.qos.slack import slack_curve
+        from repro.workloads.registry import get_profile
+
+        loads = [0.2, 0.5, 0.8]
+        curve = slack_curve(get_profile("web_search"), loads, n_requests=4000)
+        payload = {
+            "figure": "fig02",
+            "workload": "web_search",
+            "n_requests": 4000,
+            "curve": [[_round(load), _round(req)] for load, req in curve],
+        }
+        _check_golden("fig02_slack_slice", payload)
+
+    def test_tail_surrogate_fit_digest(self):
+        from repro.fleet.surrogate import SurrogateGrid, fit_tail_surrogate
+        from repro.workloads.registry import get_profile
+
+        grid = SurrogateGrid(
+            loads=(0.1, 0.5, 0.9, 1.2), n_requests=1000, peak_requests=4000,
+            n_reps=2, n_val_reps=1,
+        )
+        qos = get_profile("web_search").qos
+        surrogate = fit_tail_surrogate(qos, (0.6, 1.0), grid)
+        payload = {
+            "surrogate": "tail",
+            "workload": "web_search",
+            "grid": {
+                "loads": list(grid.loads), "n_requests": grid.n_requests,
+                "peak_requests": grid.peak_requests, "n_reps": grid.n_reps,
+                "n_val_reps": grid.n_val_reps,
+            },
+            "values": [_round(v) for v in surrogate.to_values()],
+        }
+        _check_golden("tail_surrogate_fit", payload)

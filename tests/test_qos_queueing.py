@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.qos.queueing import LatencyStats, MMPPConfig, ServiceSimulator
+from repro.qos.queueing import (
+    TRACKED_PERCENTILES,
+    LatencyStats,
+    MMPPConfig,
+    ServiceSimulator,
+)
 from repro.workloads.profiles import QoSSpec
 
 QOS = QoSSpec(target_ms=100.0, percentile=99.0, base_service_ms=8.0, service_cv=1.0)
@@ -93,6 +98,17 @@ class TestRun:
         with pytest.raises(ValueError):
             make_service().run(0.1, perf_factor=1.5)
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_non_positive_request_count_rejected_at_entry(self, n, monkeypatch):
+        service = make_service()
+
+        def must_not_sample(*args, **kwargs):
+            raise AssertionError("sampled before validating n_requests")
+
+        monkeypatch.setattr(service, "_sample_arrivals", must_not_sample)
+        with pytest.raises(ValueError, match="n_requests must be positive"):
+            service.run(0.1, n_requests=n)
+
 
 class TestPeakLoad:
     def test_peak_meets_qos(self):
@@ -118,6 +134,33 @@ class TestPeakLoad:
     def test_latency_vs_load_bad_fraction(self):
         with pytest.raises(ValueError):
             make_service().latency_vs_load([2.0], n_requests=1000)
+
+    def test_latency_vs_load_validates_before_simulating(self, monkeypatch):
+        service = make_service()
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("simulated before validating load fractions")
+
+        monkeypatch.setattr(service, "run", must_not_run)
+        with pytest.raises(ValueError, match="load fraction 1.5 out of range"):
+            service.latency_vs_load([0.5, 1.5], n_requests=1000)
+
+    @pytest.mark.parametrize("percentile", [90.0, 99.9, 100.0])
+    def test_untracked_qos_percentile_rejected(self, percentile):
+        qos = QoSSpec(target_ms=100.0, percentile=percentile,
+                      base_service_ms=8.0)
+        with pytest.raises(ValueError, match="percentile"):
+            ServiceSimulator(qos)
+
+    @pytest.mark.parametrize("percentile", TRACKED_PERCENTILES)
+    def test_tracked_qos_percentiles_accepted(self, percentile):
+        qos = QoSSpec(target_ms=100.0, percentile=percentile,
+                      base_service_ms=8.0)
+        service = ServiceSimulator(qos)
+        stats = service.run(0.1, n_requests=200)
+        assert service.meets_qos(stats) == (
+            stats.percentile(percentile) <= qos.target_ms
+        )
 
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
