@@ -56,13 +56,12 @@ from repro.core import (
     StretchCore,
     StretchMode,
     StretchMonitor,
-    measure_colocation_performance,
 )
 from repro.cpu.config import CoreConfig
 from repro.cpu.sampling import SamplingConfig, mean_uipc, sample_colocation, sample_solo
 from repro.workloads import CLOUDSUITE, SPEC2006, all_profiles, get_profile
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 __all__ = [
     "BASELINE",
@@ -78,7 +77,6 @@ __all__ = [
     "ControlRegister",
     "ColocatedServer",
     "ColocationPerformance",
-    "measure_colocation_performance",
     "CoreConfig",
     "SamplingConfig",
     "sample_solo",

@@ -12,7 +12,7 @@ mean the same thing everywhere):
   (:class:`~repro.core.server.ServerTimeline`);
 * :func:`run_fleet` — a fleet/cluster day at any scale
   (:class:`~repro.fleet.engine.FleetTimeline`), choosing among the
-  vectorized, exact, sharded and legacy engines;
+  vectorized, exact and sharded engines;
 * :func:`serve` — the same fleet as a *live service*
   (:class:`~repro.service.FleetService`): a load feed advances it window
   by window, with streaming metrics, what-if queries, and bit-identical
@@ -42,23 +42,21 @@ per fit; anything the fit does not cover falls back to the exact
 sampler), and ``tune_policy`` screens candidates with the surrogate
 model before confirming the winner at the exact tier.
 
-Superseded entry points (``measure_colocation_performance``,
-``ClusterSimulator.run_day``) remain importable as thin deprecation shims
+Superseded spellings stay accepted as thin deprecation shims for at
+least one release (``run_fleet(engine="legacy")`` runs ``engine="exact"``)
 — see the "Stable API & deprecation policy" note in ``docs/API.md``.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable
 
 from repro.core.adaptive import AdaptiveStretchPolicy
-from repro.core.cluster import ClusterSimulator
 from repro.core.colocation import (
     ColocationPerformance,
-    _measure_colocation_performance,
+    _measure_modes,
 )
-from repro.core.monitor import MonitorConfig, validate_monitor_config
+from repro.core.monitor import MonitorConfig
 from repro.core.partitioning import (
     BASELINE,
     DEFAULT_B_MODE,
@@ -84,6 +82,7 @@ from repro.tune import (
     confirm_candidates,
     tune_monitor,
 )
+from repro.util.deprecation import warn_deprecated
 from repro.workloads import get_profile
 from repro.workloads.profiles import WorkloadProfile
 
@@ -301,9 +300,9 @@ def measure(
 ) -> ColocationPerformance:
     """Measure a pair's per-mode performance model.
 
-    The stable replacement for ``measure_colocation_performance`` — same
-    semantics and bit-identical values, with the facade's sampling kwargs
-    and (by default) memoization through the result store.
+    ``engine="direct"`` runs the sampler in process; ``engine="store"``
+    (the default) routes the same job grid through the result store —
+    bit-identical values either way.
 
     At ``fidelity="surrogate"`` the solo reference and per-mode pair
     grids are answered by the family's fitted
@@ -323,7 +322,7 @@ def measure(
     ):
         engine = "direct"
     if engine == "direct":
-        return _measure_colocation_performance(
+        return _measure_modes(
             ls_profile, batch_profile, config, b_mode, q_mode, sampling
         )
     if engine != "store":
@@ -501,12 +500,13 @@ def run_fleet(
     * ``"vectorized"`` — the numpy fleet engine with the tail surrogate
       (default; scales to 100k+ servers);
     * ``"exact"`` — the fleet engine driving one DES per server
-      (bit-compatible with the legacy cluster under ``policy="jittered"``);
+      (checked against the per-server oracle
+      :func:`repro.check.reference.reference_fleet_day`);
     * ``"sharded"`` — the surrogate engine split into content-addressed
       shard jobs on the ``repro.engine`` process pool (``workers=`` caps
-      the shard count; ``load`` must be a named curve);
-    * ``"legacy"`` — the per-object :class:`~repro.core.cluster.ClusterSimulator`
-      loop, aggregated into the same :class:`~repro.fleet.engine.FleetTimeline`.
+      the shard count; ``load`` must be a named curve).
+
+    ``"legacy"`` is a deprecated alias that warns and runs ``"exact"``.
 
     ``seed`` drives the fleet's per-server streams; sampling kwargs only
     affect an on-the-fly ``measure`` when no ``performance`` is given.
@@ -522,6 +522,15 @@ def run_fleet(
     bit-identical across shard counts, and a null scenario is
     bit-identical to no scenario at all.
     """
+    if engine == "legacy":
+        warn_deprecated(
+            'run_fleet(engine="legacy")', 'run_fleet(engine="exact")'
+        )
+        engine = "exact"
+    if engine not in ("vectorized", "exact", "sharded"):
+        raise ValueError(
+            f"engine must be vectorized/exact/sharded, got {engine!r}"
+        )
     ls_profile = _resolve_profile(ls)
     if performance is None:
         if batch is None:
@@ -551,17 +560,6 @@ def run_fleet(
         ls_profile, config, corunners, sampling, fidelity, n_samples
     )
     scenario = as_scenario(scenario)
-    if engine == "legacy" and config.population:
-        raise ValueError(
-            "the legacy cluster loop has no placement layer; use the "
-            "vectorized/exact/sharded engines for heterogeneous populations"
-        )
-    if engine == "legacy" and scenario is not None:
-        raise ValueError(
-            "the legacy cluster loop has no scenario layer; use the "
-            "vectorized/exact/sharded engines for adversarial scenarios"
-        )
-
     if engine in ("vectorized", "exact"):
         fleet = FleetEngine(
             ls_profile, performance, config,
@@ -570,45 +568,16 @@ def run_fleet(
         )
         tail = "surrogate" if engine == "vectorized" else "exact"
         return fleet.run_day(load, tail=tail)
-    if engine == "sharded":
-        timeline = run_fleet_sharded(
-            ls_profile, performance, config, load,
-            store=store, n_shards=workers, surrogate=surrogate,
-            corunners=corunners, scenario=scenario,
-        )
-        if metrics is not None:
-            from repro.obs.fleet import publish_fleet_metrics
-
-            publish_fleet_metrics(metrics, timeline)
-        return timeline
-    if engine == "legacy":
-        _, load_fn = resolve_load_curve(load)
-        cluster = ClusterSimulator(
-            ls_profile,
-            performance,
-            n_servers=config.n_servers,
-            overprovision=config.overprovision,
-            balance_jitter=config.balance_jitter,
-            monitor_config=config.monitor,
-            q_mode_available=config.q_mode_available,
-            seed=config.seed,
-        )
-        cluster_timeline = cluster._run_day(
-            load_fn,
-            window_minutes=config.window_minutes,
-            requests_per_window=config.requests_per_window,
-        )
-        timeline = FleetTimeline.from_cluster(
-            cluster_timeline, config.window_minutes
-        )
-        if metrics is not None:
-            from repro.obs.fleet import publish_fleet_metrics
-
-            publish_fleet_metrics(metrics, timeline)
-        return timeline
-    raise ValueError(
-        f"engine must be vectorized/exact/sharded/legacy, got {engine!r}"
+    timeline = run_fleet_sharded(
+        ls_profile, performance, config, load,
+        store=store, n_shards=workers, surrogate=surrogate,
+        corunners=corunners, scenario=scenario,
     )
+    if metrics is not None:
+        from repro.obs.fleet import publish_fleet_metrics
+
+        publish_fleet_metrics(metrics, timeline)
+    return timeline
 
 
 def serve(

@@ -15,7 +15,8 @@ reproduction stands on, so this package gives it three independent oracles:
   :func:`~repro.check.reference.reference_service_run` is the same kind of
   oracle for the queueing DES: the plain two-heap loop that
   :meth:`~repro.qos.queueing.ServiceSimulator.run` must match field for
-  field.
+  field, and :func:`~repro.check.reference.reference_fleet_day` is the
+  per-server loop the exact-tail fleet path must match.
 * :mod:`repro.check.differential` — seeded random sweeps through the
   ``SMTCore`` and its ``ReferenceCore`` oracle (``stretch-repro check``), plus
   targeted stress cases (:func:`build_stress_cases`): the regression gate
@@ -50,7 +51,11 @@ from repro.check.metamorphic import (
     check_rob_monotonicity,
     run_metamorphic_suite,
 )
-from repro.check.reference import ReferenceCore, reference_service_run
+from repro.check.reference import (
+    ReferenceCore,
+    reference_fleet_day,
+    reference_service_run,
+)
 from repro.check.surrogate import (
     GateResult,
     SurrogateGateCase,
@@ -78,6 +83,7 @@ __all__ = [
     "check_rob_monotonicity",
     "compare_results",
     "differential_sweep",
+    "reference_fleet_day",
     "reference_service_run",
     "run_case",
     "run_metamorphic_suite",

@@ -36,6 +36,13 @@ service samplers, so both see the same random stream, and the contract,
 enforced by ``tests/test_check_reference.py`` and
 ``benchmarks/test_qos_scaling.py``, is a field-for-field equal
 :class:`~repro.qos.queueing.LatencyStats`.
+
+:func:`reference_fleet_day` is the oracle for the exact-tail fleet path,
+``FleetEngine.run_day(load, tail="exact")``: the per-object loop of one
+:class:`~repro.core.server.ColocatedServer` per server, each with its own
+scalar monitor and jitter stream, aggregated server by server.  Enforced
+by ``tests/test_fleet.py::TestExactEquivalence``, integer aggregates must
+be equal and float sums may differ only in summation order.
 """
 
 from __future__ import annotations
@@ -44,6 +51,10 @@ import heapq
 
 import numpy as np
 
+from repro.core.colocation import ColocationPerformance
+from repro.core.monitor import MODE_ORDER
+from repro.core.server import ColocatedServer
+from repro.core.stretch import StretchMode
 from repro.cpu.branch import HybridBranchPredictor
 from repro.cpu.config import CoreConfig, PartitionPolicy
 from repro.cpu.fetch import make_fetch_policy
@@ -52,9 +63,13 @@ from repro.cpu.metrics import MLP_BUCKETS, SimulationResult, ThreadResult
 from repro.cpu.rob import PartitionedResource
 from repro.cpu.trace import Trace, TraceCursor
 from repro.cpu.uncore import MemoryHierarchy
+from repro.fleet.engine import FleetConfig, FleetTimeline
+from repro.fleet.policies import EXACT_JITTER_MAX, resolve_load_curve
 from repro.qos.queueing import LatencyStats, ServiceSimulator
+from repro.util.rng import derive_seed
+from repro.workloads.profiles import WorkloadProfile
 
-__all__ = ["ReferenceCore", "reference_service_run"]
+__all__ = ["ReferenceCore", "reference_fleet_day", "reference_service_run"]
 
 #: Dependency distances are clamped to this by the trace generator; the
 #: completion window must retain at least this many past µops.
@@ -481,3 +496,82 @@ def reference_service_run(
         mean_queue_depth=float(depths.mean()),
         p95_queue_depth=float(np.percentile(depths, 95)),
     )
+
+
+def reference_fleet_day(
+    ls_profile: WorkloadProfile,
+    performance: ColocationPerformance,
+    config: FleetConfig,
+    load,
+    *,
+    scenario=None,
+) -> FleetTimeline:
+    """Per-server oracle for ``FleetEngine.run_day(load, tail="exact")``.
+
+    One :class:`~repro.core.server.ColocatedServer` per server runs its
+    own scalar monitor over its own DES, and the day is aggregated into a
+    :class:`~repro.fleet.engine.FleetTimeline` one server after another.
+    Server ``k`` uses the request-stream seed
+    ``derive_seed(seed, "server", k) & 0x7FFFFF``, draws its load jitter
+    from the ``(seed, "jitter", k)`` stream, and has
+    ``config.n_workers`` workers.  Only what that loop can express is
+    accepted: a ``jittered`` policy on at most
+    :data:`~repro.fleet.policies.EXACT_JITTER_MAX` servers, with no
+    co-runner population and no scenario.
+    """
+    if config.policy != "jittered":
+        raise ValueError(
+            f"the per-server oracle balances with the 'jittered' policy "
+            f"only, not {config.policy!r}"
+        )
+    if config.population:
+        raise ValueError("the per-server oracle has no co-runner population")
+    if scenario is not None:
+        raise ValueError("the per-server oracle has no scenario layer")
+    if config.n_servers > EXACT_JITTER_MAX:
+        raise ValueError(
+            f"the per-server oracle covers at most {EXACT_JITTER_MAX} "
+            f"servers, got {config.n_servers}"
+        )
+    _, cluster_load = resolve_load_curve(load)
+    window_minutes = config.window_minutes
+    # One jitter draw per window plus one, as the fleet policy caches them.
+    n_draws = config.n_windows + 1
+    timeline = FleetTimeline.empty(config.n_servers, config.n_windows,
+                                   window_minutes)
+    for k in range(config.n_servers):
+        rng = np.random.default_rng(derive_seed(config.seed, "jitter", k))
+        jitter = 1.0 + rng.uniform(
+            -config.balance_jitter, config.balance_jitter, size=n_draws
+        )
+
+        def server_load(hour: float, jitter=jitter) -> float:
+            window = int(hour * 60 / window_minutes)
+            share = cluster_load(hour) / config.overprovision
+            return max(min(share * jitter[window % n_draws], 1.2), 0.0)
+
+        server = ColocatedServer(
+            ls_profile,
+            performance,
+            monitor_config=config.monitor,
+            n_workers=config.n_workers,
+            seed=derive_seed(config.seed, "server", k) & 0x7FFFFF,
+            q_mode_available=config.q_mode_available,
+        )
+        day = server.run_day(
+            server_load,
+            window_minutes=window_minutes,
+            requests_per_window=config.requests_per_window,
+        )
+        for w, record in enumerate(day.windows):
+            timeline.hours[w] = record.hour
+            timeline.mode_counts[w, MODE_ORDER.index(record.mode)] += 1
+            timeline.violations[w] += record.qos_violated
+            timeline.throttled[w] += record.throttled
+            timeline.tail_ms_sum[w] += record.tail_latency_ms
+            timeline.batch_uipc_sum[w] += record.batch_uipc
+            timeline.server_violations[k] += record.qos_violated
+            timeline.server_bmode_windows[k] += (
+                record.mode is StretchMode.B_MODE
+            )
+    return timeline

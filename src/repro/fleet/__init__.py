@@ -8,8 +8,9 @@ monitoring window as numpy array operations:
   (:func:`monitor_transition_vec`, one source of truth with the scalar
   monitor via :func:`repro.core.monitor.monitor_transition`) and
   :class:`FleetEngine`, with an ``exact`` per-server DES evaluator
-  (bit-compatible with the legacy :class:`~repro.core.cluster.ClusterSimulator`)
-  and a ``surrogate`` evaluator for 100k+ servers;
+  (checked against the per-server oracle
+  :func:`repro.check.reference.reference_fleet_day`) and a ``surrogate``
+  evaluator for 100k+ servers;
 * :mod:`repro.fleet.surrogate` — the CRN-calibrated tail-latency surrogate
   with a stated, held-out-validated error bound;
 * :mod:`repro.fleet.policies` — pluggable load-balancing policies

@@ -11,10 +11,10 @@ via :func:`monitor_transition_vec`.  Tail latency comes from either
   which is what makes 100k+ servers × 144 windows tractable; or
 * ``tail="exact"`` — one :class:`~repro.qos.queueing.ServiceSimulator` per
   server, driven with the *identical* seeds, peak calibration and request
-  streams as the legacy per-object
-  :class:`~repro.core.cluster.ClusterSimulator` loop.  With the
-  ``jittered`` policy the exact path is bit-compatible with the legacy
-  cluster — the fidelity anchor for the seeded equivalence gate.
+  streams as one :class:`~repro.core.server.ColocatedServer` per server.
+  With the ``jittered`` policy the exact path matches that per-server loop
+  (:func:`repro.check.reference.reference_fleet_day`, its oracle) — the
+  fidelity anchor for the seeded equivalence gate.
 
 ``run_day(server_range=(lo, hi))`` simulates any contiguous slice of the
 fleet while drawing every per-server random stream from the *global*
@@ -150,9 +150,10 @@ def monitor_transition_vec(
 class FleetConfig:
     """Shape and control parameters of one fleet run.
 
-    Mirrors :class:`~repro.core.cluster.ClusterSimulator`'s knobs (same
-    defaults, same validation — eagerly, at construction) plus the fleet
-    policy selection.  ``policy`` is a name from
+    Cluster shape (server count, over-provisioning headroom, balancing
+    jitter), the per-server closed-loop knobs of
+    :class:`~repro.core.server.ColocatedServer`, and the fleet policy
+    selection, all validated eagerly at construction.  ``policy`` is a name from
     :data:`repro.fleet.policies.POLICY_NAMES` so configurations stay
     content-addressable for the shard-job cache.
 
@@ -234,10 +235,9 @@ class FleetConfig:
 class FleetTimeline:
     """Aggregated day trace of a fleet slice (array-of-windows form).
 
-    The fleet engine never materializes per-(server, window) records; this
-    is the vectorized counterpart of
-    :class:`~repro.core.cluster.ClusterTimeline`, carrying per-window
-    fleet aggregates plus per-server day totals (the straggler axis).
+    The fleet engine never materializes per-(server, window) records;
+    this carries per-window fleet aggregates plus per-server day totals
+    (the straggler axis).
     """
 
     n_servers: int
@@ -380,35 +380,6 @@ class FleetTimeline:
                 [p.server_bmode_windows for p in parts]
             ),
         )
-
-    @classmethod
-    def from_cluster(
-        cls, timeline, window_minutes: float, shard_lo: int = 0
-    ) -> "FleetTimeline":
-        """Aggregate a legacy :class:`~repro.core.cluster.ClusterTimeline`.
-
-        Bridges the per-object loop into the fleet representation so the
-        equivalence gate (and ``engine="legacy"`` fleet runs) compare
-        identical quantities.
-        """
-        servers = timeline.servers
-        if not servers:
-            raise ValueError("cluster timeline has no servers")
-        n_windows = len(servers[0].windows)
-        out = cls.empty(len(servers), n_windows, window_minutes, shard_lo)
-        for s, server in enumerate(servers):
-            if len(server.windows) != n_windows:
-                raise ValueError("servers disagree on window count")
-            for k, w in enumerate(server.windows):
-                out.hours[k] = w.hour
-                out.mode_counts[k, MODE_ORDER.index(w.mode)] += 1
-                out.violations[k] += bool(w.qos_violated)
-                out.throttled[k] += bool(w.throttled)
-                out.tail_ms_sum[k] += w.tail_latency_ms
-                out.batch_uipc_sum[k] += w.batch_uipc
-                out.server_violations[s] += bool(w.qos_violated)
-                out.server_bmode_windows[s] += w.mode is StretchMode.B_MODE
-        return out
 
     @classmethod
     def empty(
@@ -622,8 +593,8 @@ class FleetEngine:
         self.metrics = metrics
         self._store = store
         self._surrogate = surrogate
-        # Rows 0..2: per-mode LS perf factor / batch UIPC with the legacy
-        # clamps; row 3: throttled (service owns the core, batch suspended).
+        # Rows 0..2: per-mode LS perf factor / batch UIPC with the
+        # ColocatedServer clamps; row 3: throttled (service owns the core, batch suspended).
         self._perf_rows = np.array(
             [max(performance.ls_perf_factor(m), 0.05) for m in MODE_ORDER]
             + [1.0]
@@ -1022,7 +993,7 @@ class FleetStepper:
                     "stepper has no load curve; pass cluster_load explicitly"
                 )
             cluster_load = self._load_fn(hour)
-        # The legacy loop indexes jitter with int(hour * 60 / wm); keep
+        # The per-server loop indexes jitter with int(hour * 60 / wm); keep
         # the float-faithful expression so both paths pick identical
         # per-window streams even when the division does not round-trip.
         window_index = int(hour * 60.0 / cfg.window_minutes)
@@ -1030,7 +1001,7 @@ class FleetStepper:
             float(cluster_load), window_index, self._ctx
         )[state.lo:state.hi]
         # Scenario load perturbations multiply the raw balanced loads
-        # (full-fleet vectors, sliced) before the legacy clip, so the
+        # (full-fleet vectors, sliced) before the [0, 1.2] clip, so the
         # clipped range the tail evaluators were calibrated for holds.
         scenario_lf = None
         if self._sampler is not None:

@@ -18,8 +18,9 @@ per ``(QoS contract, perf-factor set)``:
   reproducing both the calm/bursty split and its load dependence.
 * **Validation** replays *held-out* simulator seeds at off-grid (midpoint)
   loads and reports the worst absolute error of the predicted mean tail as
-  :attr:`TailSurrogate.error_bound_ms` — the stated bound the fleet
-  equivalence gate checks against the legacy per-object simulator.
+  :attr:`TailSurrogate.error_bound_ms` — the stated bound within which
+  the fleet equivalence gate requires the surrogate path to match the
+  exact-tail path (one DES per server).
 
 Only the load axis interpolates (piecewise-linear).  Performance factors
 are categorical: the fleet uses exactly one factor per Stretch mode plus
@@ -62,7 +63,7 @@ class SurrogateGrid:
     surrogate reproduces the same finite-sample tail distribution the
     per-server DES would produce; ``peak_requests`` must match the horizon
     servers use to calibrate their peak (``max(20000, requests_per_window)``
-    in the legacy loop).  ``n_reps`` doubles as the quantile resolution of
+    in the exact-tail path).  ``n_reps`` doubles as the quantile resolution of
     the stored window-tail distribution.
     """
 

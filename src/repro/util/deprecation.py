@@ -1,11 +1,12 @@
-"""Deprecation plumbing for pre-``repro.api`` entry points.
+"""Deprecation plumbing for superseded entry points and spellings.
 
 The facade (:mod:`repro.api`) is the stable surface; superseded entry
-points keep working but route through :func:`warn_deprecated` so callers
-get a one-line migration hint.  CI runs the test suite with
-``-W error::DeprecationWarning`` filtered to ``repro.*`` modules, so any
-*internal* caller of a shim fails the build while external callers only
-see the warning.
+points keep working for at least one release but route through
+:func:`warn_deprecated` so callers get a one-line migration hint (the
+"Currently shimmed" table in ``docs/API.md`` lists every call site).
+CI runs the test suite with ``-W error::DeprecationWarning`` filtered to
+``repro.*`` modules, so any *internal* caller of a shim fails the build
+while external callers only see the warning.
 """
 
 from __future__ import annotations

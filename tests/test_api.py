@@ -1,4 +1,4 @@
-"""Tests for the stable `repro.api` facade and its deprecation shims."""
+"""Tests for the stable `repro.api` facade and its deprecation shim."""
 
 import dataclasses
 
@@ -7,11 +7,10 @@ import pytest
 
 from repro import api
 from repro.core.colocation import (
-    _measure_colocation_performance,
-    measure_colocation_performance,
+    ColocationPerformance,
+    ModePerformance,
+    _measure_modes,
 )
-from repro.core.cluster import ClusterSimulator
-from repro.core.colocation import ColocationPerformance, ModePerformance
 from repro.core.partitioning import DEFAULT_B_MODE
 from repro.core.stretch import StretchMode
 from repro.cpu.sampling import SamplingConfig
@@ -103,9 +102,10 @@ class TestSimulate(object):
 class TestMeasure:
     def test_matches_legacy_implementation(self, tiny_sampling):
         ls, batch = get_profile("web_search"), get_profile("zeusmp")
-        legacy = _measure_colocation_performance(ls, batch, sampling=tiny_sampling)
+        # The store path rebuilds the direct sampler's job grid.
+        direct = _measure_modes(ls, batch, sampling=tiny_sampling)
         facade = api.measure("web_search", "zeusmp", sampling=tiny_sampling)
-        assert facade == legacy
+        assert facade == direct
 
     def test_q_mode_none_copies_baseline(self, tiny_sampling):
         perf = api.measure(
@@ -124,36 +124,63 @@ class TestMeasure:
         assert perf.ls_solo_uipc > 0.0
 
 
+FLEET_FIELDS = (
+    "hours", "mode_counts", "violations", "throttled", "tail_ms_sum",
+    "batch_uipc_sum", "server_violations", "server_bmode_windows",
+)
+
+
+def assert_same_timeline(a: FleetTimeline, b: FleetTimeline) -> None:
+    assert (a.n_servers, a.window_minutes) == (b.n_servers, b.window_minutes)
+    for name in FLEET_FIELDS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
 class TestDeprecationShims:
-    def test_measure_colocation_performance_warns(self, tiny_sampling):
-        ls, batch = get_profile("web_search"), get_profile("zeusmp")
-        with pytest.deprecated_call(match="repro.api.measure"):
-            legacy = measure_colocation_performance(
-                ls, batch, sampling=tiny_sampling
-            )
-        assert legacy == api.measure("web_search", "zeusmp",
-                                     sampling=tiny_sampling)
+    """``run_fleet(engine="legacy")`` is an alias of ``engine="exact"``."""
 
-    def test_cluster_run_day_warns_and_delegates(self):
-        cluster = ClusterSimulator(
-            get_profile("web_search"), performance_model(),
-            n_servers=2, seed=5,
-        )
-        with pytest.deprecated_call(match="run_fleet"):
-            day = cluster.run_day(
-                lambda h: 0.4, window_minutes=480, requests_per_window=200
-            )
-        assert len(day.servers) == 2
+    COMMON = dict(
+        performance=performance_model(), load="web_search",
+        n_servers=2, window_minutes=480, requests_per_window=200, seed=5,
+    )
 
-    def test_old_entry_points_still_importable(self):
+    def test_legacy_engine_warns_and_runs_exact(self):
+        with pytest.deprecated_call(match='engine="exact"'):
+            legacy = api.run_fleet(
+                "web_search", engine="legacy", **self.COMMON
+            )
+        exact = api.run_fleet("web_search", engine="exact", **self.COMMON)
+        assert_same_timeline(legacy, exact)
+
+    @pytest.mark.parametrize("setting", [
+        {"policy": "uniform"},
+        {"n_workers": 4},
+    ])
+    def test_legacy_alias_honours_settings_it_used_to_ignore(self, setting):
+        # The removed per-object loop ignored policy= and n_workers=; the
+        # alias forwards them to the exact engine like any other setting.
+        kwargs = dict(self.COMMON, **setting)
+        with pytest.deprecated_call(match='engine="exact"'):
+            legacy = api.run_fleet("web_search", engine="legacy", **kwargs)
+        exact = api.run_fleet("web_search", engine="exact", **kwargs)
+        assert_same_timeline(legacy, exact)
+        default = api.run_fleet("web_search", engine="exact", **self.COMMON)
+        assert not np.array_equal(legacy.tail_ms_sum, default.tail_ms_sum)
+
+    def test_removed_shims_are_gone(self):
+        import importlib
+
         import repro
+        import repro.core
+        from repro.experiments import common
 
-        assert repro.measure_colocation_performance is (
-            measure_colocation_performance
-        )
-        from repro.core.cluster import ClusterSimulator as FromModule
-
-        assert FromModule is ClusterSimulator
+        assert not hasattr(repro, "measure_colocation_performance")
+        assert not hasattr(repro.core, "measure_colocation_performance")
+        assert not hasattr(repro.core, "ClusterSimulator")
+        assert not hasattr(common, "fidelity_from_env")
+        assert not hasattr(FleetTimeline, "from_cluster")
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.core.cluster")
 
 
 class TestRunDay:
@@ -200,12 +227,11 @@ class TestRunFleet:
             seed=5,
         )
         exact = api.run_fleet("web_search", engine="exact", **common)
-        legacy = api.run_fleet("web_search", engine="legacy", **common)
+        with pytest.deprecated_call():
+            legacy = api.run_fleet("web_search", engine="legacy", **common)
         assert isinstance(exact, FleetTimeline)
         assert isinstance(legacy, FleetTimeline)
-        assert np.array_equal(exact.violations, legacy.violations)
-        assert np.array_equal(exact.mode_counts, legacy.mode_counts)
-        assert np.allclose(exact.tail_ms_sum, legacy.tail_ms_sum, rtol=1e-9)
+        assert_same_timeline(exact, legacy)
 
     def test_unknown_engine_and_missing_model(self):
         with pytest.raises(ValueError, match="engine must be"):
@@ -215,6 +241,15 @@ class TestRunFleet:
             )
         with pytest.raises(ValueError, match="performance model"):
             api.run_fleet("web_search")
+
+    def test_engine_validated_before_measuring(self, monkeypatch):
+        # A bad engine must fail fast, not after measuring the pair.
+        def no_measure(*args, **kwargs):
+            raise AssertionError("run_fleet measured before checking engine")
+
+        monkeypatch.setattr(api, "measure", no_measure)
+        with pytest.raises(ValueError, match="engine must be"):
+            api.run_fleet("web_search", batch="zeusmp", engine="warp")
 
     def test_facade_exported_from_package_root(self):
         import repro

@@ -5,7 +5,7 @@ import pytest
 from repro.core.colocation import (
     ColocationPerformance,
     ModePerformance,
-    measure_colocation_performance,
+    _measure_modes,
 )
 from repro.core.stretch import StretchMode
 from repro.cpu.sampling import SamplingConfig
@@ -47,7 +47,7 @@ class TestDerivedMetrics:
 class TestMeasurement:
     @pytest.fixture(scope="class")
     def measured(self):
-        return measure_colocation_performance(
+        return _measure_modes(
             get_profile("web_search"),
             get_profile("zeusmp"),
             sampling=SamplingConfig(n_samples=1, warmup_instructions=3000,
@@ -74,7 +74,7 @@ class TestMeasurement:
         assert measured.batch_workload == "zeusmp"
 
     def test_without_q_mode_falls_back(self):
-        perf = measure_colocation_performance(
+        perf = _measure_modes(
             get_profile("web_search"),
             get_profile("gamess"),
             q_mode=None,

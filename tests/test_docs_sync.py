@@ -1,6 +1,6 @@
 """Docstring-table drift tests: keep prose tables in sync with the code.
 
-Two classes of documentation are load-bearing enough to test:
+Four kinds of documentation are load-bearing enough to test:
 
 * numpy-style ``Attributes`` tables on frozen config dataclasses
   (:class:`~repro.core.monitor.MonitorConfig` and friends) — every
@@ -13,7 +13,10 @@ Two classes of documentation are load-bearing enough to test:
 * the fidelity-tier table in ``docs/API.md`` — every tier in the
   :func:`~repro.experiments.common.register_fidelity` registry must have
   a documented row and vice versa, and the unknown-tier error must list
-  every registered name (that error *is* documentation).
+  every registered name (that error *is* documentation);
+* the "Currently shimmed" table in ``docs/API.md`` — every
+  ``warn_deprecated`` call site in ``src/`` must have a row and every row
+  a call site, so a shim can neither go undocumented nor outlive its row.
 """
 
 from __future__ import annotations
@@ -226,3 +229,64 @@ def test_unknown_tier_error_lists_registry():
             f"registered tier {name!r} missing from the unknown-fidelity "
             f"error message: {message}"
         )
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def documented_shims() -> set[tuple[str, str]]:
+    """``(deprecated, use instead)`` rows of the "Currently shimmed" table."""
+    text = API_MD.read_text()
+    match = re.search(r"Currently shimmed.*?\n\n(\|.*?)\n\n", text, re.DOTALL)
+    assert match, "docs/API.md lost its 'Currently shimmed' table"
+    rows = re.findall(r"^\| `([^`]+)` \| `([^`]+)` \|", match.group(1),
+                      re.MULTILINE)
+    return set(rows)
+
+
+def shim_call_sites() -> dict[tuple[str, str], list[str]]:
+    """Every ``warn_deprecated(old, replacement)`` call in ``src/``.
+
+    Also fails on a ``DeprecationWarning`` raised any other way, so a
+    shim cannot bypass the table by calling ``warnings.warn`` itself.
+    """
+    import ast
+
+    sites: dict[tuple[str, str], list[str]] = {}
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        tree = ast.parse(path.read_text(), filename=rel)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id == "DeprecationWarning":
+                assert rel == "repro/util/deprecation.py", (
+                    f"{rel}:{node.lineno} raises DeprecationWarning directly; "
+                    "route shims through repro.util.deprecation.warn_deprecated"
+                )
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(
+                func, "attr", None
+            )
+            if name != "warn_deprecated":
+                continue
+            args = [ast.literal_eval(arg) for arg in node.args[:2]]
+            assert len(args) == 2, f"{rel}:{node.lineno}: pass old and new"
+            sites.setdefault(tuple(args), []).append(f"{rel}:{node.lineno}")
+    return sites
+
+
+def test_shim_table_matches_warn_deprecated_call_sites():
+    documented = documented_shims()
+    sites = shim_call_sites()
+    undocumented = {shim: where for shim, where in sites.items()
+                    if shim not in documented}
+    stale = documented - set(sites)
+    assert not undocumented, (
+        f"shims {undocumented} warn but have no row in docs/API.md's "
+        "'Currently shimmed' table; add one"
+    )
+    assert not stale, (
+        f"docs/API.md lists shims {sorted(stale)} that no warn_deprecated "
+        "call in src/ emits; remove their rows"
+    )

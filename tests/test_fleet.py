@@ -4,8 +4,9 @@ The load-bearing guarantees:
 
 * `monitor_transition_vec` is element-wise identical to the scalar
   `monitor_transition` (exhaustive state-space sweep);
-* the `tail="exact"` fleet path is bit-compatible with the legacy
-  per-object `ClusterSimulator` loop;
+* the `tail="exact"` fleet path matches its per-server oracle,
+  `repro.check.reference.reference_fleet_day` (integer aggregates equal,
+  float sums to within summation order);
 * the surrogate path matches the exact path within the surrogate's
   *stated* held-out error bound (the ISSUE's seeded equivalence gate);
 * sharding a fleet run never changes results (integer aggregates are
@@ -17,7 +18,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core.cluster import ClusterSimulator
+from repro.check.reference import reference_fleet_day
 from repro.core.colocation import ColocationPerformance, ModePerformance
 from repro.core.monitor import MonitorConfig, MonitorState, monitor_transition
 from repro.core.stretch import StretchMode
@@ -161,7 +162,7 @@ class TestPolicies:
         assert np.allclose(loads, 0.9 / 1.2)
 
     def test_jittered_matches_legacy_streams(self):
-        # Small fleets reproduce ClusterSimulator's per-server jitter rngs.
+        # Small fleets draw one jitter rng per server, (seed, "jitter", k).
         ctx = self.ctx()
         loads = make_policy("jittered").server_loads(0.6, 4, ctx)
         share = 0.6 / 1.2
@@ -225,7 +226,7 @@ class TestPolicies:
         early = policy.server_loads(0.6, 0, ctx)
         late = policy.server_loads(0.6, wrap_period, ctx)
         assert not np.array_equal(early, late)
-        # The extended draws continue the legacy per-server streams: the
+        # The extended draws continue the per-server streams: the
         # regenerated matrix prefix is bit-identical, and window w reads
         # draw w for any horizon.
         for window in (wrap_period, 3 * wrap_period + 2):
@@ -296,40 +297,74 @@ class TestSurrogate:
 
 
 class TestExactEquivalence:
-    """tail="exact" fleet runs are bit-compatible with ClusterSimulator."""
+    """tail="exact" fleet runs match the per-server oracle.
+
+    Integer aggregates are equal; float sums add the same per-server
+    values in a different order, so they agree to ``rtol=1e-12``.
+    """
+
+    CONFIGS = (
+        dict(n_servers=2, window_minutes=240.0, requests_per_window=300),
+        dict(n_servers=2, window_minutes=240.0, requests_per_window=300,
+             n_workers=4, balance_jitter=0.2),
+        dict(n_servers=8, window_minutes=60.0, requests_per_window=500),
+    )
 
     @pytest.fixture(scope="class")
-    def pair(self):
+    def pairs(self):
         profile = get_profile("web_search")
         performance = performance_model()
-        config = fleet_config(n_servers=2, window_minutes=240.0,
-                              requests_per_window=300)
-        fleet = FleetEngine(profile, performance, config).run_day(
-            "web_search", tail="exact"
-        )
-        legacy = ClusterSimulator(
-            profile, performance, n_servers=2, seed=config.seed
-        )._run_day(resolve_load_curve("web_search")[1],
-                   window_minutes=240.0, requests_per_window=300)
-        return fleet, FleetTimeline.from_cluster(legacy, 240.0)
+        pairs = []
+        for kwargs in self.CONFIGS:
+            config = fleet_config(**kwargs)
+            fleet = FleetEngine(profile, performance, config).run_day(
+                "web_search", tail="exact"
+            )
+            oracle = reference_fleet_day(
+                profile, performance, config, "web_search"
+            )
+            pairs.append((fleet, oracle))
+        return pairs
 
-    def test_integer_aggregates_identical(self, pair):
-        fleet, legacy = pair
-        assert np.array_equal(fleet.mode_counts, legacy.mode_counts)
-        assert np.array_equal(fleet.violations, legacy.violations)
-        assert np.array_equal(fleet.throttled, legacy.throttled)
-        assert np.array_equal(fleet.server_violations, legacy.server_violations)
-        assert np.array_equal(
-            fleet.server_bmode_windows, legacy.server_bmode_windows
-        )
+    def test_integer_aggregates_identical(self, pairs):
+        for fleet, oracle in pairs:
+            for name in ("mode_counts", "violations", "throttled",
+                         "server_violations", "server_bmode_windows"):
+                assert np.array_equal(
+                    getattr(fleet, name), getattr(oracle, name)
+                ), name
 
-    def test_float_aggregates_identical(self, pair):
-        fleet, legacy = pair
-        assert np.allclose(fleet.tail_ms_sum, legacy.tail_ms_sum, rtol=1e-9)
-        assert np.allclose(
-            fleet.batch_uipc_sum, legacy.batch_uipc_sum, rtol=1e-9
-        )
-        assert np.allclose(fleet.hours, legacy.hours)
+    def test_float_aggregates_identical(self, pairs):
+        for fleet, oracle in pairs:
+            for name in ("hours", "tail_ms_sum", "batch_uipc_sum"):
+                assert np.allclose(
+                    getattr(fleet, name), getattr(oracle, name),
+                    rtol=1e-12, atol=0.0,
+                ), name
+
+    def test_oracle_rejects_what_it_cannot_express(self):
+        profile = get_profile("web_search")
+        performance = performance_model()
+        with pytest.raises(ValueError, match="jittered"):
+            reference_fleet_day(
+                profile, performance, fleet_config(policy="uniform"),
+                "web_search",
+            )
+        with pytest.raises(ValueError, match="population"):
+            reference_fleet_day(
+                profile, performance,
+                fleet_config(population=("zeusmp",)), "web_search",
+            )
+        with pytest.raises(ValueError, match="scenario"):
+            reference_fleet_day(
+                profile, performance, fleet_config(), "web_search",
+                scenario="stragglers",
+            )
+        with pytest.raises(ValueError, match="at most"):
+            reference_fleet_day(
+                profile, performance,
+                fleet_config(n_servers=EXACT_JITTER_MAX + 1), "web_search",
+            )
 
 
 class TestSurrogateEquivalenceGate:

@@ -314,3 +314,79 @@ class TestQueueingGoldenDigests:
             "values": [_round(v) for v in surrogate.to_values()],
         }
         _check_golden("tail_surrogate_fit", payload)
+
+
+#: Fleet-day golden config: 8 servers, 60-minute windows, 500 requests.
+FLEET_GOLDEN = dict(n_servers=8, window_minutes=60.0, requests_per_window=500)
+
+
+def _fleet_payload(timeline, path: str, grid=None) -> dict:
+    """Every :class:`~repro.fleet.engine.FleetTimeline` field, canonical."""
+    payload = {
+        "path": path,
+        "load": "web_search",
+        "config": dict(FLEET_GOLDEN, seed=5),
+        "n_servers": timeline.n_servers,
+        "window_minutes": timeline.window_minutes,
+        "hours": [_round(float(h)) for h in timeline.hours],
+        "mode_counts": timeline.mode_counts.astype(int).tolist(),
+        "violations": timeline.violations.astype(int).tolist(),
+        "throttled": timeline.throttled.astype(int).tolist(),
+        "server_violations": timeline.server_violations.astype(int).tolist(),
+        "server_bmode_windows": (
+            timeline.server_bmode_windows.astype(int).tolist()
+        ),
+        "tail_ms_sum": [_round(float(v)) for v in timeline.tail_ms_sum],
+        "batch_uipc_sum": [_round(float(v)) for v in timeline.batch_uipc_sum],
+    }
+    if grid is not None:
+        payload["grid"] = {
+            "loads": list(grid.loads), "n_requests": grid.n_requests,
+            "peak_requests": grid.peak_requests, "n_reps": grid.n_reps,
+            "n_val_reps": grid.n_val_reps,
+        }
+    return payload
+
+
+class TestFleetGoldenDigests:
+    """Pins on whole fleet days: the exact-tail and the default surrogate path.
+
+    The exact-tail golden was recorded while the library's per-object
+    cluster loop, since removed, still matched it (integers equal, floats
+    within 1e-12 relative); that loop lives on as the oracle
+    ``repro.check.reference.reference_fleet_day``.
+    """
+
+    def test_fleet_exact_day_digest(self):
+        from repro.fleet import FleetEngine
+        from repro.workloads.registry import get_profile
+        from tests.test_fleet import fleet_config, performance_model
+
+        timeline = FleetEngine(
+            get_profile("web_search"), performance_model(),
+            fleet_config(**FLEET_GOLDEN),
+        ).run_day("web_search", tail="exact")
+        _check_golden("fleet_exact_day", _fleet_payload(timeline, "exact"))
+
+    def test_fleet_vectorized_day_digest(self):
+        from repro.fleet import FleetEngine, SurrogateGrid, fit_tail_surrogate
+        from repro.workloads.registry import get_profile
+        from tests.test_fleet import fleet_config, performance_model
+
+        profile = get_profile("web_search")
+        grid = SurrogateGrid(
+            loads=(0.02, 0.3, 0.6, 0.9, 1.2), n_requests=500,
+            peak_requests=4000, n_reps=4, n_val_reps=1,
+        )
+        engine = FleetEngine(
+            profile, performance_model(), fleet_config(**FLEET_GOLDEN)
+        )
+        surrogate = fit_tail_surrogate(profile.qos, engine.perf_factors, grid)
+        timeline = FleetEngine(
+            profile, performance_model(), fleet_config(**FLEET_GOLDEN),
+            surrogate=surrogate,
+        ).run_day("web_search", tail="surrogate")
+        _check_golden(
+            "fleet_vectorized_day",
+            _fleet_payload(timeline, "vectorized", grid),
+        )

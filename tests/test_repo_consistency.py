@@ -72,3 +72,24 @@ class TestExamplesHaveDocstrings:
             assert text.lstrip().startswith(("#!", '"""')), script.name
             assert '"""' in text, script.name
             assert "Usage" in text, script.name
+
+
+class TestReleaseVersion:
+    def test_versions_agree_with_newest_release(self):
+        import repro
+
+        # tomllib is 3.11+; the [project] version line is all this needs.
+        version = re.search(r'^version = "([^"]+)"',
+                            (ROOT / "pyproject.toml").read_text(), re.MULTILINE)
+        assert version, "pyproject.toml has no [project] version"
+        headings = re.findall(r"^## (\S+)", (ROOT / "CHANGELOG.md").read_text(),
+                              re.MULTILINE)
+        released = [h for h in headings if h != "Unreleased"]
+        assert released, "CHANGELOG.md has no released version heading"
+        assert version.group(1) == repro.__version__, (
+            "pyproject.toml and repro.__version__ disagree"
+        )
+        assert repro.__version__ == released[0], (
+            f"repro.__version__ {repro.__version__} is not the newest "
+            f"CHANGELOG release {released[0]}"
+        )
