@@ -135,7 +135,7 @@ class ResultStore:
             self.stats.misses += 1
             return None
         try:
-            values = tuple(float(v) for v in json.loads(path.read_text()))
+            values = tuple(map(float, json.loads(path.read_text())))
         except (ValueError, TypeError, OSError):
             # Truncated / interleaved / unreadable entry: drop it and recompute.
             self.stats.corrupt_entries += 1
@@ -149,14 +149,21 @@ class ResultStore:
         self._memory[key] = values
         return values
 
-    def put(self, key: str, values: tuple[float, ...]) -> None:
-        """Store a result; the disk write is atomic (tempfile + rename)."""
-        values = tuple(float(v) for v in values)
+    def put(self, key: str, values: tuple[float, ...]) -> bool:
+        """Store a result; the disk write is atomic (tempfile + rename).
+
+        Returns True when the entry reached disk, False for a memory-only
+        store or a failed (swallowed) disk write.  The entry is encoded
+        with :func:`json.dumps`, not ``json.dump``: writing to a handle
+        runs CPython's pure-Python encoder, several times slower than the
+        C one that produces the same bytes.
+        """
+        values = tuple(map(float, values))
         self._memory[key] = values
         self.stats.writes += 1
         path = self._entry_path(key)
         if path is None:
-            return
+            return False
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(
@@ -164,7 +171,7 @@ class ResultStore:
             )
             try:
                 with os.fdopen(fd, "w") as handle:
-                    json.dump(list(values), handle)
+                    handle.write(json.dumps(list(values)))
                 os.replace(tmp, path)
             except BaseException:
                 try:
@@ -173,7 +180,8 @@ class ResultStore:
                     pass
                 raise
         except OSError:
-            pass  # disk layer is best-effort; memory layer already holds it
+            return False  # disk layer is best-effort; memory layer holds it
+        return True
 
     def compute(self, job) -> tuple[float, ...]:
         """Return ``job``'s result, running it at most once per key.
@@ -205,9 +213,15 @@ class ResultStore:
                 self._inflight.pop(key, None)
             event.set()
 
-    def clear_memory(self) -> None:
-        """Drop the in-memory layer (keeps the disk layer)."""
-        self._memory.clear()
+    def clear_memory(self, *keys: str) -> None:
+        """Drop ``keys`` (all entries when none are named) from the memory layer.
+
+        The disk layer keeps them: a later :meth:`get` reads them back.
+        """
+        if not keys:
+            self._memory.clear()
+        for key in keys:
+            self._memory.pop(key, None)
 
     def record_job_telemetry(self, key: str, record: dict) -> None:
         """Attach a telemetry record to a job key (how it was produced).

@@ -403,23 +403,32 @@ class FleetTimeline:
             server_bmode_windows=np.zeros(n_servers, dtype=np.int64),
         )
 
+    def to_array(self) -> np.ndarray:
+        """The :meth:`to_values` payload as one float64 array."""
+        return np.concatenate(
+            [
+                np.array(
+                    [
+                        float(self.n_servers),
+                        float(self.shard_lo),
+                        float(self.n_windows),
+                        float(self.window_minutes),
+                    ]
+                ),
+                self.mode_counts.ravel(),
+                self.violations,
+                self.throttled,
+                self.tail_ms_sum,
+                self.batch_uipc_sum,
+                self.server_violations,
+                self.server_bmode_windows,
+            ],
+            dtype=np.float64,
+        )
+
     def to_values(self) -> tuple[float, ...]:
         """Flatten for the content-addressed result store (shard transport)."""
-        return tuple(
-            [
-                float(self.n_servers),
-                float(self.shard_lo),
-                float(self.n_windows),
-                float(self.window_minutes),
-            ]
-            + [float(v) for v in self.mode_counts.ravel()]
-            + [float(v) for v in self.violations]
-            + [float(v) for v in self.throttled]
-            + [float(v) for v in self.tail_ms_sum]
-            + [float(v) for v in self.batch_uipc_sum]
-            + [float(v) for v in self.server_violations]
-            + [float(v) for v in self.server_bmode_windows]
-        )
+        return tuple(self.to_array().tolist())
 
     @classmethod
     def from_values(cls, values) -> "FleetTimeline":
@@ -517,16 +526,23 @@ class FleetState:
 
     # -- checkpoint transport (result-store value format) ----------------
 
+    def to_array(self) -> np.ndarray:
+        """The :meth:`to_values` payload as one float64 array."""
+        return np.concatenate(
+            [
+                np.array([float(self.lo), float(self.hi), float(self.window)]),
+                self.mode,
+                self.compliant,
+                self.violation,
+                self.throttle,
+                self.timeline.to_array(),
+            ],
+            dtype=np.float64,
+        )
+
     def to_values(self) -> tuple[float, ...]:
         """Flatten for the content-addressed store (checkpoint payload)."""
-        return tuple(
-            [float(self.lo), float(self.hi), float(self.window)]
-            + [float(v) for v in self.mode]
-            + [float(v) for v in self.compliant]
-            + [float(v) for v in self.violation]
-            + [float(v) for v in self.throttle]
-            + list(self.timeline.to_values())
-        )
+        return tuple(self.to_array().tolist())
 
     @classmethod
     def from_values(cls, values) -> "FleetState":

@@ -29,29 +29,40 @@ __all__ = ["CHECKPOINT_VERSION", "checkpoint_key", "load_checkpoint", "save_chec
 CHECKPOINT_VERSION = 1
 
 
-def checkpoint_key(identity: str, state: FleetState) -> str:
-    """Deterministic key for ``state`` snapshotted under ``identity``."""
-    digest = hashlib.sha256(
-        np.asarray(state.to_values(), dtype=np.float64).tobytes()
-    ).hexdigest()
+def _key(identity: str, window: int, flat: np.ndarray) -> str:
+    """Key for a state flattened to ``flat`` (the float64 payload)."""
     payload = repr((
         CACHE_VERSION,
         CHECKPOINT_VERSION,
         "fleet-checkpoint",
         identity,
-        int(state.window),
-        digest,
+        int(window),
+        hashlib.sha256(flat.tobytes()).hexdigest(),
     ))
     return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def checkpoint_key(identity: str, state: FleetState) -> str:
+    """Deterministic key for ``state`` snapshotted under ``identity``."""
+    return _key(identity, state.window, state.to_array())
 
 
 def save_checkpoint(
     store: ResultStore | None, identity: str, state: FleetState
 ) -> str:
-    """Persist ``state`` and return its content-addressed key."""
+    """Persist ``state`` and return its content-addressed key.
+
+    The state is flattened once; the same array is hashed for the key and
+    handed to the store.  Once the entry is confirmed on disk it is
+    dropped from the store's memory layer, so a long-running service does
+    not pin every checkpoint it ever wrote; a memory-only store (or a
+    failed disk write) keeps it in memory, where it is the only copy.
+    """
     store = store if store is not None else default_store()
-    key = checkpoint_key(identity, state)
-    store.put(key, tuple(state.to_values()))
+    flat = state.to_array()
+    key = _key(identity, state.window, flat)
+    if store.put(key, flat.tolist()):
+        store.clear_memory(key)
     return key
 
 

@@ -7,6 +7,7 @@ without real simulations; the simulation-equivalence property tests live in
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import threading
@@ -162,6 +163,38 @@ class TestResultStore:
         store.put("k1", (1.0,))
         assert store.get("k1") == (1.0,)
         assert store.entry_dir is None
+
+    def test_put_reports_whether_the_entry_reached_disk(self, tmp_path):
+        assert ResultStore(tmp_path).put("k1", (1.0,)) is True
+        assert ResultStore(None).put("k1", (1.0,)) is False
+        broken = ResultStore(tmp_path / "broken")
+        broken.directory.mkdir()
+        broken.entry_dir.write_text("not a directory")  # mkdir fails
+        assert broken.put("k1", (2.0,)) is False
+        assert broken.get("k1") == (2.0,)  # the memory layer still holds it
+
+    def test_clear_memory_named_keys(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put("k1", (1.0,))
+        store.put("k2", (2.0,))
+        store.clear_memory("k1", "absent")
+        assert store.get("k2") == (2.0,)
+        assert store.stats.memory_hits == 1 and store.stats.disk_hits == 0
+        assert store.get("k1") == (1.0,)
+        assert store.stats.disk_hits == 1
+        store.clear_memory()
+        assert store.get("k2") == (2.0,)
+        assert store.stats.disk_hits == 2
+
+    def test_entry_bytes_match_json_dump(self, tmp_path):
+        values = (0.1, -0.0, 1e-300, 5e-324, 2.0**53 + 2, 1.7976931348623157e308,
+                  float("nan"), float("inf"), float("-inf"), 3)
+        store = ResultStore(tmp_path)
+        store.put("k1", values)
+        handle = io.StringIO()
+        json.dump([float(v) for v in values], handle)
+        entry = tmp_path / f"v{CACHE_VERSION}" / "k1.json"
+        assert entry.read_text() == handle.getvalue()
 
     def test_compute_runs_once(self, tmp_path):
         store = ResultStore(tmp_path)

@@ -390,3 +390,49 @@ class TestFleetGoldenDigests:
             "fleet_vectorized_day",
             _fleet_payload(timeline, "vectorized", grid),
         )
+
+
+class TestServiceCheckpointGolden:
+    """Pin on the bytes a live-service checkpoint writes to the store.
+
+    A seeded small :class:`~repro.service.FleetService` (the
+    ``tests/test_service.py`` fixture: 8 servers, 120-minute windows)
+    advances 5 windows and checkpoints into a fresh disk store.  The
+    content-addressed key and the SHA-256 of the entry file must not
+    move: a resumable checkpoint written by an older build has to stay
+    addressable and readable by a newer one.
+    """
+
+    def test_service_checkpoint_digest(self, tmp_path):
+        from repro.engine.store import CACHE_VERSION, ResultStore
+        from repro.fleet import FleetEngine, fit_tail_surrogate
+        from repro.service import CHECKPOINT_VERSION
+        from repro.workloads.registry import get_profile
+        from tests.test_service import (
+            TEST_GRID,
+            fleet_config,
+            make_service,
+            performance_model,
+        )
+
+        profile = get_profile("web_search")
+        perf_factors = FleetEngine(
+            profile, performance_model(), fleet_config()
+        ).perf_factors
+        surrogate = fit_tail_surrogate(profile.qos, perf_factors, TEST_GRID)
+        store = ResultStore(tmp_path / "store")
+        service = make_service(surrogate, store=store)
+        service.advance(5)
+        key = service.checkpoint()["key"]
+        entry = (store.entry_dir / f"{key}.json").read_bytes()
+        payload = {
+            "checkpoint": "fleet_service",
+            "config": {"n_servers": 8, "window_minutes": 120.0, "seed": 5},
+            "windows": 5,
+            "cache_version": CACHE_VERSION,
+            "checkpoint_version": CHECKPOINT_VERSION,
+            "key": key,
+            "entry_bytes": len(entry),
+            "entry_sha256": hashlib.sha256(entry).hexdigest(),
+        }
+        _check_golden("service_checkpoint", payload)

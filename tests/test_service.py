@@ -426,6 +426,38 @@ class TestCheckpointResume:
         assert restored.window == 3
         assert timelines_equal(restored.timeline, service.timeline)
 
+    def test_disk_checkpoint_leaves_the_memory_layer(self, surrogate, tmp_path):
+        # A confirmed disk write drops the entry from memory: a long serve
+        # with --checkpoint-every must not pin every checkpoint it wrote.
+        store = ResultStore(tmp_path)
+        service = make_service(surrogate)
+        service.advance(3)
+        key = save_checkpoint(store, "identity", service.state)
+        assert key not in store._memory
+        restored = load_checkpoint(store, key)
+        assert store.stats.disk_hits == 1 and store.stats.memory_hits == 0
+        assert restored.window == service.state.window
+        assert restored.to_array().tobytes() == service.state.to_array().tobytes()
+
+    def test_memory_only_checkpoint_stays_in_memory(self, surrogate):
+        store = ResultStore(None)
+        service = make_service(surrogate)
+        service.advance(3)
+        key = save_checkpoint(store, "identity", service.state)
+        assert key in store._memory
+        restored = load_checkpoint(store, key)
+        assert store.stats.memory_hits == 1
+        assert restored.to_array().tobytes() == service.state.to_array().tobytes()
+
+    def test_failed_disk_write_keeps_the_checkpoint(self, surrogate, tmp_path):
+        store = ResultStore(tmp_path)
+        store.entry_dir.write_text("not a directory")  # every write fails
+        service = make_service(surrogate)
+        service.advance(2)
+        key = save_checkpoint(store, "identity", service.state)
+        assert key in store._memory
+        assert load_checkpoint(store, key).window == 2
+
 
 # ----------------------------------------------------------------------
 # What-if queries
