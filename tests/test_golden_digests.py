@@ -26,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cpu.sampling import SamplingConfig
 from repro.experiments.common import Fidelity
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -314,6 +315,86 @@ class TestQueueingGoldenDigests:
             "values": [_round(v) for v in surrogate.to_values()],
         }
         _check_golden("tail_surrogate_fit", payload)
+
+    def test_uipc_surrogate_fit_digest(self):
+        from repro.cpu.surrogate import UipcFitJob
+        from repro.experiments.common import config_all_shared, config_solo
+
+        fits = {
+            "solo": (
+                UipcFitJob("solo", ("gamess",), config_solo(), UIPC_TINY),
+                (16, 24, 40, 96, 150, 192),
+            ),
+            "pair": (
+                UipcFitJob(
+                    "pair", ("web_search", "gamess"), config_all_shared(),
+                    UIPC_TINY,
+                ),
+                (32, 44, 72, 96, 120, 160),
+            ),
+        }
+        payload = {"surrogate": "uipc", "sampling": repr(UIPC_TINY)}
+        for kind, (job, xs) in fits.items():
+            values = job.run()
+            surrogate = job.load(values)
+            payload[kind] = {
+                "workloads": list(job.workloads),
+                "values": [_round(v) for v in values],
+                "xs": list(xs),
+                "predict": [
+                    [_round(v) for v in surrogate.predict_many(xs, thread=t)]
+                    for t in range(len(job.workloads))
+                ],
+            }
+        _check_golden("uipc_surrogate_fit", payload)
+
+
+#: Tiny exact-sampler config for the UIPC surrogate pins (2 windows).
+UIPC_TINY = SamplingConfig(
+    n_samples=2, warmup_instructions=500, measure_instructions=600, seed=11
+)
+
+
+class TestSurrogateFitKeys:
+    """Pin the store keys of both surrogate fit jobs.
+
+    A fit is content-addressed by its job key; if the key of an unchanged
+    job moves, every warm store silently refits.  A deliberate
+    ``CACHE_VERSION`` or surrogate-version bump updates these literals.
+    """
+
+    def test_tail_fit_key(self):
+        from repro.fleet.surrogate import SurrogateFitJob, SurrogateGrid
+        from repro.workloads.registry import get_profile
+
+        job = SurrogateFitJob(
+            get_profile("web_search").qos,
+            (1.0, 0.6),
+            SurrogateGrid(
+                loads=(0.1, 0.5, 0.9, 1.2), n_requests=1000,
+                peak_requests=4000, n_reps=2, n_val_reps=1,
+            ),
+        )
+        assert job.key == TAIL_FIT_KEY
+
+    def test_uipc_fit_keys(self):
+        from repro.cpu.surrogate import UipcFitJob
+        from repro.experiments.common import config_all_shared, config_solo
+
+        solo = UipcFitJob("solo", ("gamess",), config_solo(), UIPC_TINY)
+        pair = UipcFitJob(
+            "pair", ("web_search", "gamess"), config_all_shared(), UIPC_TINY
+        )
+        assert (solo.key, pair.key) == UIPC_FIT_KEYS
+
+
+TAIL_FIT_KEY = (
+    "69b6d44ac048ab53cc6e75a3ad047ccd9946fccd0ad5733754e09ab168bec892"
+)
+UIPC_FIT_KEYS = (
+    "60b009e61498d6fd59dfdfb6a8e8962108da2e037066a4a05c525b5852712bef",
+    "5b07f70317175fa8a76a5056f5f6a114948d62d5b0979a293d9120235b24d7c9",
+)
 
 
 #: Fleet-day golden config: 8 servers, 60-minute windows, 500 requests.
