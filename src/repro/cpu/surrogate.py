@@ -16,10 +16,7 @@ tail queries without a DES run:
   **sorted per-sample UIPCs** at each anchor as an empirical window
   distribution.
 * **Prediction** interpolates the anchor means piecewise-linearly, so a
-  query *at* an anchor reproduces the exact tier's mean bit-for-bit;
-  :meth:`UipcSurrogate.sample` draws window-to-window variation by
-  inverse-CDF over deterministic per-(workload, sample) uniforms
-  (:func:`repro.cpu.sampling.sample_uniforms`).
+  query *at* an anchor reproduces the exact tier's mean bit-for-bit.
 * **Validation** replays the exact sampler with *held-out* derived seeds
   at off-anchor midpoints; the worst absolute mean-UIPC error times a
   safety margin is reported as :attr:`UipcSurrogate.error_bound` next to
@@ -40,11 +37,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.cpu.config import CoreConfig
-from repro.cpu.sampling import (
-    SamplingConfig,
-    evaluate_sample_windows,
-    sample_uniforms,
-)
+from repro.cpu.sampling import SamplingConfig
+from repro.util.quantiles import QuantileTable
 from repro.util.rng import derive_seed
 
 __all__ = [
@@ -56,7 +50,6 @@ __all__ = [
     "family_axis",
     "family_config_at",
     "axis_scale",
-    "calibration_jobs",
     "fit_uipc_surrogate",
 ]
 
@@ -201,35 +194,22 @@ def axis_scale(kind: str, canon: CoreConfig) -> int:
 class UipcSurrogate:
     """Fitted per-mode UIPC model for one (workloads, family, sampling).
 
-    ``quantiles`` has shape ``(n_threads, n_anchors, n_samples)`` and is
-    sorted along the sample axis — the empirical window-UIPC distribution
-    at each ROB-axis anchor.  Means interpolate linearly between anchors
-    (and are bit-identical to the exact sampler *at* anchors, since the
-    anchors were measured with the experiment's own sampling seeds).
+    ``table`` holds one row per hardware thread over the ROB-axis anchors:
+    its stacks are the sorted per-sample UIPCs — the empirical
+    window-UIPC distribution at each anchor.  Means interpolate linearly
+    between anchors (and are bit-identical to the exact sampler *at*
+    anchors, since the anchors were measured with the experiment's own
+    sampling seeds).
     """
 
     kind: str
     workloads: tuple[str, ...]
-    anchors: tuple[int, ...]
-    quantiles: np.ndarray  # (n_threads, n_anchors, n_samples), sorted
+    table: QuantileTable
     error_bound: float
 
     @property
-    def n_samples(self) -> int:
-        return self.quantiles.shape[2]
-
-    @property
-    def mean_curve(self) -> np.ndarray:
-        """Mean UIPC per anchor — shape (n_threads, n_anchors)."""
-        return self.quantiles.mean(axis=2)
-
-    def _check_range(self, xs: np.ndarray) -> None:
-        lo, hi = self.anchors[0], self.anchors[-1]
-        if np.any(xs < lo) or np.any(xs > hi):
-            raise ValueError(
-                f"axis value(s) outside the fitted range [{lo}, {hi}]: "
-                f"{np.asarray(xs)[(xs < lo) | (xs > hi)].tolist()}"
-            )
+    def anchors(self) -> tuple[int, ...]:
+        return self.table.axis
 
     def predict(self, x, thread: int = 0) -> float:
         """Predicted mean UIPC at ROB-axis value ``x`` (+- error_bound)."""
@@ -238,47 +218,25 @@ class UipcSurrogate:
     def predict_many(self, xs, thread: int = 0) -> np.ndarray:
         """Vectorized :meth:`predict` over a whole axis grid."""
         xs = np.asarray(xs, dtype=float)
-        self._check_range(xs)
-        return np.interp(xs, self.anchors, self.mean_curve[thread])
-
-    def sample(self, xs, uniforms, thread: int = 0) -> np.ndarray:
-        """Window-to-window UIPC draws by inverse-CDF over ``uniforms``.
-
-        Returns a ``(len(xs), len(uniforms))`` grid; pass the CRN uniforms
-        from :func:`repro.cpu.sampling.sample_uniforms` so draws are
-        paired across configurations like the exact tier's shared trace
-        seeds.
-        """
-        xs = np.asarray(xs, dtype=float)
-        self._check_range(xs)
-        return evaluate_sample_windows(
-            np.asarray(self.anchors, dtype=float),
-            self.quantiles[thread],
-            xs,
-            uniforms,
-        )
-
-    def evaluate_grid(
-        self, xs, sampling: SamplingConfig, n_samples: int | None = None
-    ) -> np.ndarray:
-        """Whole sample grid as one array op — shape (n_threads, n_xs, n).
-
-        Thread ``t``'s uniforms derive from ``(sampling.seed,
-        workloads[t], sample)``, mirroring the exact tier's per-workload
-        trace-seed convention.
-        """
-        return np.stack([
-            self.sample(
-                xs, sample_uniforms(sampling, name, n_samples), thread=t
+        lo, hi = self.anchors[0], self.anchors[-1]
+        if np.any(xs < lo) or np.any(xs > hi):
+            raise ValueError(
+                f"axis value(s) outside the fitted range [{lo}, {hi}]: "
+                f"{xs[(xs < lo) | (xs > hi)].tolist()}"
             )
-            for t, name in enumerate(self.workloads)
-        ])
+        return self.table.predict(xs, thread)
 
     # -- content-addressed persistence ---------------------------------
+    #
+    # The payload is laid out (thread, anchor, sample), so the codec swaps
+    # the table's rep and axis dimensions on the way out and in.  Decoding
+    # keeps the swapped *view*: the samples stay contiguous in memory, as
+    # in a fresh fit, so both reduce to the same mean bits.
 
     def to_values(self) -> tuple[float, ...]:
         """Flatten to a float tuple (the result-store value format)."""
-        n_threads, n_anchors, n_samples = self.quantiles.shape
+        quantiles = self.table.stacks.swapaxes(1, 2)
+        n_threads, n_anchors, n_samples = quantiles.shape
         header = [
             float(n_threads),
             float(n_anchors),
@@ -288,7 +246,7 @@ class UipcSurrogate:
         return tuple(
             header
             + [float(a) for a in self.anchors]
-            + [float(v) for v in self.quantiles.ravel()]
+            + [float(v) for v in quantiles.ravel()]
         )
 
     @classmethod
@@ -313,8 +271,7 @@ class UipcSurrogate:
         return cls(
             kind="solo" if n_threads == 1 else "pair",
             workloads=workloads,
-            anchors=anchors,
-            quantiles=quantiles,
+            table=QuantileTable(anchors, quantiles.swapaxes(1, 2)),
             error_bound=error_bound,
         )
 
@@ -349,31 +306,6 @@ def _validation_sampling(sampling: SamplingConfig, rep: int) -> SamplingConfig:
     )
 
 
-def calibration_jobs(
-    kind: str,
-    workloads: tuple[str, ...],
-    config: CoreConfig,
-    sampling: SamplingConfig,
-    grid: UipcGrid = UipcGrid(),
-) -> list:
-    """Every store job a fit needs (for execution-engine pre-warming)."""
-    canon, __ = family_axis(kind, config)
-    scale = axis_scale(kind, canon)
-    jobs = [
-        _sample_job(
-            kind, workloads, family_config_at(kind, canon, x), sampling
-        )
-        for x in grid.anchor_values(kind, scale)
-    ]
-    for v in grid.validation_values(kind, scale):
-        for rep in range(grid.n_val_reps):
-            jobs.append(_mean_job(
-                kind, workloads, family_config_at(kind, canon, v),
-                _validation_sampling(sampling, rep),
-            ))
-    return jobs
-
-
 def fit_uipc_surrogate(
     kind: str,
     workloads: tuple[str, ...],
@@ -397,34 +329,31 @@ def fit_uipc_surrogate(
     anchors = grid.anchor_values(kind, scale)
     n_threads = 1 if kind == "solo" else 2
 
-    quantiles = np.empty((n_threads, len(anchors), sampling.n_samples))
+    # Filled (thread, anchor, sample) and fitted through a swapped view,
+    # so each anchor's samples stay contiguous (see ``to_values``).
+    samples = np.empty((n_threads, len(anchors), sampling.n_samples))
     for k, x in enumerate(anchors):
         values = compute(_sample_job(
             kind, workloads, family_config_at(kind, canon, x), sampling
         ))
-        per_thread = np.asarray(values, dtype=float).reshape(n_threads, -1)
-        quantiles[:, k, :] = np.sort(per_thread, axis=1)
-
-    surrogate = UipcSurrogate(
-        kind=kind,
-        workloads=tuple(workloads),
-        anchors=anchors,
-        quantiles=quantiles,
-        error_bound=0.0,
-    )
+        samples[:, k, :] = np.asarray(values, dtype=float).reshape(
+            n_threads, -1
+        )
+    table = QuantileTable.fit(anchors, samples.swapaxes(1, 2))
 
     # Held-out validation: fresh derived seeds at off-anchor midpoints.
-    worst = 0.0
-    for v in grid.validation_values(kind, scale):
-        member = family_config_at(kind, canon, v)
-        for rep in range(grid.n_val_reps):
-            exact = compute(_mean_job(
-                kind, workloads, member, _validation_sampling(sampling, rep)
+    held_out = grid.validation_values(kind, scale)
+    exact = np.array([
+        [
+            compute(_mean_job(
+                kind, workloads, family_config_at(kind, canon, v),
+                _validation_sampling(sampling, rep),
             ))
-            for t in range(n_threads):
-                worst = max(
-                    worst, abs(surrogate.predict(v, thread=t) - exact[t])
-                )
+            for rep in range(grid.n_val_reps)
+        ]
+        for v in held_out
+    ]).reshape(len(held_out), grid.n_val_reps, n_threads)
+    worst = table.heldout_error(held_out, exact.transpose(1, 2, 0))
 
     # Seed-noise floor: the exact reference is a mean of ``n_samples``
     # windows, so its seed-to-seed standard error is the window std over
@@ -432,12 +361,12 @@ def fit_uipc_surrogate(
     noise = 0.0
     if sampling.n_samples > 1:
         sigma_mean = (
-            quantiles.std(axis=2, ddof=1).mean(axis=1)
+            table.stacks.std(axis=1, ddof=1).mean(axis=1)
             / np.sqrt(sampling.n_samples)
         )
         noise = grid.noise_z * float(sigma_mean.max())
-    return replace(
-        surrogate, error_bound=worst * grid.error_margin + noise
+    return UipcSurrogate(
+        kind, tuple(workloads), table, worst * grid.error_margin + noise
     )
 
 

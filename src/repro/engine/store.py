@@ -156,7 +156,8 @@ class ResultStore:
         store or a failed (swallowed) disk write.  The entry is encoded
         with :func:`json.dumps`, not ``json.dump``: writing to a handle
         runs CPython's pure-Python encoder, several times slower than the
-        C one that produces the same bytes.
+        C one that produces the same bytes.  The tuple is encoded as is;
+        JSON has one array type, so a list would give the same bytes.
         """
         values = tuple(map(float, values))
         self._memory[key] = values
@@ -171,7 +172,7 @@ class ResultStore:
             )
             try:
                 with os.fdopen(fd, "w") as handle:
-                    handle.write(json.dumps(list(values)))
+                    handle.write(json.dumps(values))
                 os.replace(tmp, path)
             except BaseException:
                 try:

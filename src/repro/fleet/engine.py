@@ -905,7 +905,7 @@ class FleetStepper:
             # of re-searching the grid per server per window.  Also fails
             # fast here if the surrogate misses any fitted factor.
             table = engine.corunner_table
-            self._srows = self._surrogate._row_indices(
+            self._srows = self._surrogate.rows(
                 table.perf_rows.ravel() if table is not None
                 else engine._perf_rows
             )

@@ -67,9 +67,16 @@ def save_checkpoint(
 
 
 def load_checkpoint(store: ResultStore | None, key: str) -> FleetState:
-    """Rehydrate a checkpointed :class:`FleetState` by key."""
+    """Rehydrate a checkpointed :class:`FleetState` by key.
+
+    As in :func:`save_checkpoint`, the read leaves no copy in the store's
+    memory layer when the entry is on disk; a memory-only entry stays.
+    """
     store = store if store is not None else default_store()
     values = store.get(key)
     if values is None:
         raise KeyError(f"no checkpoint stored under key {key!r}")
+    entry_dir = store.entry_dir
+    if entry_dir is not None and (entry_dir / f"{key}.json").exists():
+        store.clear_memory(key)
     return FleetState.from_values(values)

@@ -268,16 +268,16 @@ class TestSurrogate:
         assert clone.perf_factors == surrogate.perf_factors
         assert clone.loads == surrogate.loads
         assert clone.error_bound_ms == surrogate.error_bound_ms
-        assert np.array_equal(clone.quantiles_ms, surrogate.quantiles_ms)
+        assert np.array_equal(clone.table.stacks, surrogate.table.stacks)
         assert clone.qos == surrogate.qos
 
     def test_predict_interpolates_grid_means(self, surrogate):
         perf = surrogate.perf_factors[0]
         at_grid = surrogate.predict(np.asarray(surrogate.loads), perf)
-        assert np.allclose(at_grid, surrogate.mean_ms[0])
+        assert np.allclose(at_grid, surrogate.table.mean[0])
         mid = (surrogate.loads[1] + surrogate.loads[2]) / 2.0
         between = surrogate.predict(np.array([mid]), perf)[0]
-        lo, hi = sorted(surrogate.mean_ms[0][1:3])
+        lo, hi = sorted(surrogate.table.mean[0][1:3])
         assert lo <= between <= hi
 
     def test_sample_monotone_in_uniform(self, surrogate):

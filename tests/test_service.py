@@ -439,6 +439,18 @@ class TestCheckpointResume:
         assert restored.window == service.state.window
         assert restored.to_array().tobytes() == service.state.to_array().tobytes()
 
+    def test_disk_load_leaves_the_memory_layer(self, surrogate, tmp_path):
+        # Reading a checkpoint back must not pin it in memory either.
+        store = ResultStore(tmp_path)
+        service = make_service(surrogate)
+        service.advance(3)
+        key = save_checkpoint(store, "identity", service.state)
+        store.clear_memory()
+        restored = load_checkpoint(store, key)
+        assert store.stats.disk_hits == 1
+        assert key not in store._memory
+        assert restored.to_array().tobytes() == service.state.to_array().tobytes()
+
     def test_memory_only_checkpoint_stays_in_memory(self, surrogate):
         store = ResultStore(None)
         service = make_service(surrogate)

@@ -2,7 +2,7 @@
 
 Covers the fit itself (CRN reproducibility through the store, anchor
 predictions bit-identical to the exact sampler, honest error bounds on
-fresh seeds), the batched window evaluation, the configuration-family
+fresh seeds), the shared quantile-table draw, the configuration-family
 mapping, and the tier plumbing (``Fidelity`` dispatch, ``grid_jobs``
 collapse, and the regression that the surrogate can never leak into
 exact-tier golden paths).
@@ -14,20 +14,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cpu.config import CoreConfig
-from repro.cpu.sampling import (
-    SamplingConfig,
-    evaluate_sample_windows,
-    sample_uniforms,
-)
+from repro.cpu.sampling import SamplingConfig
 from repro.cpu.surrogate import (
     UipcFitJob,
     UipcGrid,
     UipcSurrogate,
     UnsupportedConfigError,
     axis_scale,
-    calibration_jobs,
     family_axis,
     family_config_at,
     fit_uipc_surrogate,
@@ -42,6 +38,7 @@ from repro.experiments.common import (
     pair_uipc_many,
     solo_uipc_many,
 )
+from repro.util.quantiles import QuantileTable
 from repro.util.rng import derive_seed
 
 TINY = SamplingConfig(n_samples=2, warmup_instructions=500,
@@ -102,34 +99,55 @@ class TestFamilies:
             assert vals and not (set(vals) & anchors)
 
 
+def anchor_table(axis, quantiles) -> QuantileTable:
+    """One-row table from per-axis-point replicate lists."""
+    return QuantileTable(tuple(axis), np.asarray(quantiles, float).T[None])
+
+
 class TestWindowEvaluation:
     def test_inverse_cdf_midpoints(self):
         # 3 sorted replicates at one anchor: u=0.5 lands exactly on the
         # middle replicate (plotting position 3*0.5 - 0.5 = 1.0).
-        anchors = np.array([0.0, 1.0])
-        quantiles = np.array([[1.0, 2.0, 3.0], [5.0, 6.0, 7.0]])
-        out = evaluate_sample_windows(
-            anchors, quantiles, np.array([0.0, 1.0]), np.array([0.5])
-        )
-        assert out.shape == (2, 1)
-        assert out[0, 0] == 2.0 and out[1, 0] == 6.0
+        table = anchor_table([0.0, 1.0], [[1.0, 2.0, 3.0], [5.0, 6.0, 7.0]])
+        out = table.sample([0.0, 1.0], [0, 0], [0.5, 0.5])
+        assert out.tolist() == [2.0, 6.0]
+        # Extreme uniforms clip to the extreme replicates exactly.
+        out = table.sample([0.0, 0.0], [0, 0], [0.1, 0.9])
+        assert out.tolist() == [1.0, 3.0]
 
     def test_anchor_blend_is_linear(self):
-        anchors = np.array([0.0, 2.0])
-        quantiles = np.array([[0.0, 0.0], [4.0, 4.0]])
-        out = evaluate_sample_windows(
-            anchors, quantiles, np.array([1.0]), np.array([0.25, 0.75])
-        )
+        table = anchor_table([0.0, 2.0], [[0.0, 0.0], [4.0, 4.0]])
+        out = table.sample([1.0, 1.0], [0, 0], [0.25, 0.75])
         assert np.allclose(out, 2.0)
 
-    def test_uniforms_deterministic_and_distinct(self):
-        a = sample_uniforms(TINY, "web_search")
-        b = sample_uniforms(TINY, "web_search")
-        c = sample_uniforms(TINY, "zeusmp")
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
-        assert a.shape == (TINY.n_samples,)
-        assert np.all((0 <= a) & (a < 1))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_draws_monotone_in_u_within_neighbour_stacks(self, data):
+        n_reps = data.draw(st.integers(1, 12), label="n_reps")
+        axis = sorted(data.draw(st.lists(
+            st.integers(-1000, 1000), min_size=2, max_size=6, unique=True
+        ), label="axis"))
+        values = st.floats(-1e3, 1e3, allow_nan=False)
+        quantiles = [
+            sorted(data.draw(st.lists(
+                values, min_size=n_reps, max_size=n_reps
+            ), label=f"replicates@{a}"))
+            for a in axis
+        ]
+        x = data.draw(st.floats(axis[0], axis[-1]), label="x")
+        table = anchor_table(axis, quantiles)
+        u = np.linspace(0.0, 0.999, 17)
+        draws = table.sample(np.full(u.size, x), np.zeros(u.size, int), u)
+
+        # The blend and the order-statistic interpolation each round once,
+        # so allow a few ulps of the stacks' magnitude.
+        tol = 1e-12 * max(1.0, np.abs(quantiles).max())
+        assert np.all(np.diff(draws) >= -tol)
+        li = min(max(np.searchsorted(axis, x, side="right") - 1, 0),
+                 len(axis) - 2)
+        neighbours = quantiles[li] + quantiles[li + 1]
+        assert np.all(draws >= min(neighbours) - tol)
+        assert np.all(draws <= max(neighbours) + tol)
 
 
 class TestFitThroughStore:
@@ -196,33 +214,33 @@ class TestFitThroughStore:
         batched = surrogate.predict_many(xs)
         assert list(batched) == [surrogate.predict(x) for x in xs]
 
-    def test_evaluate_grid_shape_and_mean_consistency(self):
-        surrogate = fit_uipc_surrogate("solo", ("gamess",), config_solo(), TINY)
-        xs = [32, 96, 192]
-        grid = surrogate.evaluate_grid(xs, TINY)
-        assert grid.shape == (1, 3, TINY.n_samples)
-        # Draws at an anchor stay inside that anchor's replicate range.
-        k = surrogate.anchors.index(96)
-        lo, hi = surrogate.quantiles[0, k, 0], surrogate.quantiles[0, k, -1]
-        assert np.all((lo <= grid[0, xs.index(96)])
-                      & (grid[0, xs.index(96)] <= hi))
-        # Extreme uniforms hit the extreme replicates exactly (with 2
-        # replicates, plotting positions clip at u<=0.25 and u>=0.75).
-        draws = surrogate.sample([96], np.array([0.1, 0.9]))
-        assert draws[0, 0] == lo and draws[0, 1] == hi
+    def test_codec_keeps_mean_bits_at_ten_samples(self):
+        # From eight replicates up, NumPy's mean depends on memory layout
+        # (pairwise over a contiguous axis, sequential over a strided one);
+        # a decoded fit must keep the fitted layout and so its predictions.
+        def fake_compute(job):
+            rng = np.random.default_rng(int(job.key[:12], 16))
+            n = job.sampling.n_samples if job.kind.endswith("_samples") else 1
+            return tuple(rng.random(n * len(job.workloads)))
+
+        sampling = replace(TINY, n_samples=10)
+        for kind, workloads, config in (
+            ("solo", ("gamess",), config_solo()),
+            ("pair", ("web_search", "gamess"), config_all_shared()),
+        ):
+            fit = fit_uipc_surrogate(
+                kind, workloads, config, sampling, compute=fake_compute
+            )
+            again = UipcSurrogate.from_values(fit.to_values(), workloads)
+            lo, hi = fit.anchors[0], fit.anchors[-1]
+            xs = np.linspace(lo, hi, 41)
+            for t in range(len(workloads)):
+                assert (again.predict_many(xs, t).tobytes()
+                        == fit.predict_many(xs, t).tobytes())
 
     def test_fit_job_requires_canonical_config(self):
         with pytest.raises(ValueError):
             UipcFitJob("solo", ("gamess",), config_solo(96), TINY)
-
-    def test_calibration_jobs_enumerates_fit_inputs(self):
-        grid = UipcGrid()
-        jobs = calibration_jobs("solo", ("gamess",), config_solo(), TINY, grid)
-        n_anchors = len(grid.anchor_values("solo", 192))
-        n_val = len(grid.validation_values("solo", 192)) * grid.n_val_reps
-        assert len(jobs) == n_anchors + n_val
-        kinds = {job.kind for job in jobs}
-        assert kinds == {"solo_samples", "solo"}
 
     def test_fit_key_disjoint_from_sim_keys(self):
         fit = UipcFitJob("solo", ("gamess",), config_solo(), TINY)
